@@ -1,11 +1,23 @@
 """Exact rational linear programming.
 
-A dense two-phase simplex over Fractions with Bland's anti-cycling rule,
-so every solve is deterministic across runs and platforms.  Every answer
-carries a certificate that is re-verified by exact arithmetic before it is
-returned: a feasible point is substituted into all constraints, and a
-Farkas witness is checked to combine the constraints into the
-contradiction 0 >= positive.
+A dense two-phase simplex with Bland's anti-cycling rule, so every solve is
+deterministic across runs and platforms.  The tableau is fraction-free: each
+row is a list of Python ints over one positive row denominator, divided by
+the gcd of the row and its denominator after every update, so a row holds
+its rational values in lowest common terms without a gcd per entry.
+Because every row denominator is positive, each sign Bland's rule reads (a
+reduced cost, a column entry) is the sign of an integer numerator, and the
+ratio test rhs_i / a_i compares the same quotients as integer
+cross-products, the row denominator cancelling.  The pivot sequence, the
+final basis and every returned value are therefore those of the plain
+Fraction tableau; Fractions appear only at the boundary, in the returned
+point, multipliers, ray and objective value.
+
+Every answer carries a certificate that is re-verified in exact Fraction
+arithmetic before it is returned: a feasible point is substituted into all
+constraints, a Farkas witness is checked to combine the constraints into
+the contradiction 0 >= positive, and an unbounded answer's feasible point
+and recession ray are checked to stay feasible while the objective falls.
 
 Constraint relations are "<=", ">=", "==".  Farkas sign convention: the
 multiplier vector y satisfies y_i <= 0 on "<=" rows, y_i >= 0 on ">=" rows,
@@ -17,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import ArtifactError, PreconditionError, VerificationError
@@ -53,26 +66,35 @@ class LPCertificate:
     objective_value: Fraction | None = None
     farkas: list[Fraction] | None = None
     duals: list[Fraction] | None = None
+    # "unbounded": x is feasible and x + t * ray stays feasible for all t >= 0
+    # while the objective decreases without bound
+    ray: list[Fraction] | None = None
+
+
+def _dot(coeffs, x) -> Fraction:
+    return sum((c * xi for c, xi in zip(coeffs, x) if c), F(0))
+
+
+def _check_point(problem: LPProblem, x) -> None:
+    if x is None or len(x) != problem.n_vars:
+        raise VerificationError("missing primal point")
+    if problem.nonneg:
+        for xi, nn in zip(x, problem.nonneg):
+            if nn and xi < 0:
+                raise VerificationError("negative value for sign-constrained variable")
+    for coeffs, rel, rhs in problem.rows:
+        lhs = _dot(coeffs, x)
+        ok = (lhs <= rhs) if rel == "<=" else (lhs >= rhs) if rel == ">=" else (lhs == rhs)
+        if not ok:
+            raise VerificationError(f"constraint violated: {lhs} {rel} {rhs}")
 
 
 def verify_certificate(problem: LPProblem, cert: LPCertificate) -> None:
     """Exact re-check; raises VerificationError on any failure."""
     if cert.status in ("feasible", "optimal"):
-        x = cert.x
-        if x is None or len(x) != problem.n_vars:
-            raise VerificationError("missing primal point")
-        if problem.nonneg:
-            for xi, nn in zip(x, problem.nonneg):
-                if nn and xi < 0:
-                    raise VerificationError("negative value for sign-constrained variable")
-        for coeffs, rel, rhs in problem.rows:
-            lhs = sum((c * xi for c, xi in zip(coeffs, x) if c), F(0))
-            ok = (lhs <= rhs) if rel == "<=" else (lhs >= rhs) if rel == ">=" else (lhs == rhs)
-            if not ok:
-                raise VerificationError(f"constraint violated: {lhs} {rel} {rhs}")
+        _check_point(problem, cert.x)
         if cert.status == "optimal" and problem.objective is not None:
-            val = sum((c * xi for c, xi in zip(problem.objective, x) if c), F(0))
-            if val != cert.objective_value:
+            if _dot(problem.objective, cert.x) != cert.objective_value:
                 raise VerificationError("objective value mismatch")
     elif cert.status == "infeasible":
         y = cert.farkas
@@ -105,52 +127,97 @@ def verify_certificate(problem: LPProblem, cert: LPCertificate) -> None:
                 raise VerificationError("farkas residual on free var")
         if rhs_combo <= 0:
             raise VerificationError("farkas rhs combination not positive")
-    # "unbounded" carries no certificate beyond its status
+    elif cert.status == "unbounded":
+        _check_point(problem, cert.x)
+        ray = cert.ray
+        if ray is None or len(ray) != problem.n_vars:
+            raise VerificationError("missing recession ray")
+        if problem.nonneg:
+            for ri, nn in zip(ray, problem.nonneg):
+                if nn and ri < 0:
+                    raise VerificationError("ray negative on sign-constrained variable")
+        for coeffs, rel, _ in problem.rows:
+            v = _dot(coeffs, ray)
+            ok = (v <= 0) if rel == "<=" else (v >= 0) if rel == ">=" else (v == 0)
+            if not ok:
+                raise VerificationError(f"ray leaves the feasible set: {v} {rel} 0")
+        if problem.objective is None or _dot(problem.objective, ray) >= 0:
+            raise VerificationError("ray does not decrease the objective")
+    else:
+        raise VerificationError(f"unknown status {cert.status!r}")
 
 
-def _pivot(T: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    piv = T[r][c]
+# The tableau T is a list of integer rows, the last one the cost row and the
+# last entry of each row its right-hand side; D[i] > 0 is row i's
+# denominator, so entry (i, j) has the rational value T[i][j] / D[i].
+
+
+def _pivot(T: list[list[int]], D: list[int], basis: list[int], r: int, c: int) -> None:
     row_r = T[r]
-    inv = 1 / piv
-    for j in range(len(row_r)):
-        if row_r[j]:
-            row_r[j] *= inv
+    p = row_r[c]
+    if p < 0:
+        row_r = [-v for v in row_r]
+        p = -p
+    g = gcd(p, *row_r)
+    if g > 1:
+        row_r = [v // g for v in row_r]
+        p //= g
+    # pivot row over denominator p: its entry in column c is now 1
+    T[r] = row_r
+    D[r] = p
     for i, row in enumerate(T):
         if i == r:
             continue
         f = row[c]
         if f:
-            for j in range(len(row)):
-                if row_r[j]:
-                    row[j] -= f * row_r[j]
+            # row/d - (f/d) * row_r/p == (row * p - f * row_r) / (d * p)
+            if p == 1:
+                new = [a - f * b for a, b in zip(row, row_r)]
+                d = D[i]
+            else:
+                new = [a * p - f * b for a, b in zip(row, row_r)]
+                d = D[i] * p
+            g = gcd(d, *new)
+            if g > 1:
+                new = [v // g for v in new]
+                d //= g
+            T[i] = new
+            D[i] = d
     basis[r] = c
 
 
-def _bland_iterate(T, basis, allowed) -> str:
-    """Run simplex iterations on tableau T (last row = cost, last col = rhs)."""
+def _bland_iterate(T: list[list[int]], D: list[int], basis: list[int], width: int) -> int:
+    """Run simplex iterations, entering only columns below `width`.
+
+    Returns -1 at an optimum, or the entering column that no row bounds.
+    """
     m = len(T) - 1
-    width = len(T[0]) - 1
-    cost = T[-1]
     while True:
+        cost = T[-1]
         enter = -1
         for j in range(width):
-            if allowed[j] and cost[j] < 0:
+            if cost[j] < 0:
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return -1
         leave = -1
-        best = None
+        best_num = best_den = 0
         for i in range(m):
-            a = T[i][enter]
+            row = T[i]
+            a = row[enter]
             if a > 0:
-                ratio = T[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                # ratio row[-1] / a against best_num / best_den, both a > 0
+                if leave < 0:
+                    leave, best_num, best_den = i, row[-1], a
+                    continue
+                lhs = row[-1] * best_den
+                rhs = best_num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_num, best_den = i, row[-1], a
         if leave < 0:
-            return "unbounded"
-        _pivot(T, basis, leave, enter)
+            return enter
+        _pivot(T, D, basis, leave, enter)
 
 
 def solve(problem: LPProblem) -> LPCertificate:
@@ -165,10 +232,13 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
     nonneg = problem.nonneg or [False] * n
     if len(nonneg) != n:
         raise PreconditionError("nonneg mask length mismatch")
+    objective = problem.objective
+    if objective is not None and len(objective) != n:
+        raise PreconditionError("objective length mismatch")
 
     # column layout: for each variable either one column (nonneg) or a
     # split pair x = x+ - x-; then one slack per inequality row; then one
-    # artificial per row.
+    # artificial per row, art0 + i for row i.
     col_of_var: list[tuple[int, int]] = []
     ncols = 0
     for nn in nonneg:
@@ -183,100 +253,119 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
         if rel != "==":
             slack_col[i] = ncols
             ncols += 1
-    art_col = {}
-    for i in range(len(problem.rows)):
-        art_col[i] = ncols
-        ncols += 1
-
     m = len(problem.rows)
-    T = [[F(0)] * (ncols + 1) for _ in range(m + 1)]
-    sigma = [1] * m
+    art0 = ncols
+    ncols += m
+
+    # constraint rows, scaled by the lcm of their denominators and by the
+    # sign sigma_i that makes the right-hand side nonnegative
+    T: list[list[int]] = []
+    D: list[int] = []
+    sigma = []
     for i, (coeffs, rel, rhs) in enumerate(problem.rows):
         s = 1 if rhs >= 0 else -1
-        sigma[i] = s
-        row = T[i]
+        sigma.append(s)
+        L = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        row = [0] * (ncols + 1)
         for j, c in enumerate(coeffs):
             if not c:
                 continue
+            v = s * c.numerator * (L // c.denominator)
             cp, cm = col_of_var[j]
-            row[cp] += s * c
+            row[cp] = v
             if cm >= 0:
-                row[cm] -= s * c
+                row[cm] = -v
         if rel != "==":
-            row[slack_col[i]] = F(s if rel == "<=" else -s)
-        row[art_col[i]] = F(1)
-        row[-1] = s * rhs
+            row[slack_col[i]] = s * L if rel == "<=" else -s * L
+        row[art0 + i] = L
+        row[-1] = s * rhs.numerator * (L // rhs.denominator)
+        T.append(row)
+        D.append(L)
 
-    basis = [art_col[i] for i in range(m)]
     # phase-1 cost: minimize sum of artificials -> reduced costs
-    cost = T[-1]
+    # -sum_i row_i + sum of the artificial unit costs, over lcm(D)
+    dc = lcm(*D)
+    cost = [0] * (ncols + 1)
+    for row, d in zip(T, D):
+        k = dc // d
+        for j, v in enumerate(row):
+            if v:
+                cost[j] -= k * v
     for i in range(m):
-        for j in range(ncols + 1):
-            if T[i][j]:
-                cost[j] -= T[i][j]
-    for i in range(m):
-        cost[art_col[i]] += 1  # art columns have unit cost
+        cost[art0 + i] += dc
+    T.append(cost)
+    D.append(dc)
 
-    allowed = [True] * ncols
-    status = _bland_iterate(T, basis, allowed)
-    if status != "optimal":
+    basis = [art0 + i for i in range(m)]
+    if _bland_iterate(T, D, basis, ncols) >= 0:
         raise ArtifactError("phase 1 cannot be unbounded")
-    phase1_value = -T[-1][-1]
-    if phase1_value > 0:
+    cost, dc = T[-1], D[-1]
+    if cost[-1] < 0:
         # infeasible: multipliers from the reduced costs of the artificials
-        y = []
-        for i in range(m):
-            pi = 1 - T[-1][art_col[i]]
-            y.append(sigma[i] * pi)
-        return LPCertificate(status="infeasible", farkas=y)
+        return LPCertificate(status="infeasible",
+                             farkas=[s * F(dc - cost[art0 + i], dc) for i, s in enumerate(sigma)])
 
-    # phase 2
-    art_set = set(art_col.values())
-    for j in art_set:
-        allowed[j] = False
-    # drive artificials out of the basis where possible (degenerate rows)
+    # phase 2: artificials may no longer enter; drive them out of the basis
+    # where possible (degenerate rows)
     for i in range(m):
-        if basis[i] in art_set:
-            for j in range(ncols):
-                if j not in art_set and T[i][j] != 0:
-                    _pivot(T, basis, i, j)
+        if basis[i] >= art0:
+            row = T[i]
+            for j in range(art0):
+                if row[j]:
+                    _pivot(T, D, basis, i, j)
                     break
 
-    objective = problem.objective
-    cost = T[-1]
-    for j in range(ncols + 1):
-        cost[j] = F(0)
+    def point(colval: dict[int, Fraction]) -> list[Fraction]:
+        out = []
+        for cp, cm in col_of_var:
+            v = colval.get(cp, F(0))
+            if cm >= 0:
+                v -= colval.get(cm, F(0))
+            out.append(v)
+        return out
+
+    def basic_point() -> list[Fraction]:
+        return point({basis[i]: F(T[i][-1], D[i]) for i in range(m)})
+
     if objective is not None:
+        dc = lcm(*(c.denominator for c in objective))
+        cost = [0] * (ncols + 1)
         for j, c in enumerate(objective):
             if not c:
                 continue
+            v = c.numerator * (dc // c.denominator)
             cp, cm = col_of_var[j]
-            cost[cp] += c
+            cost[cp] = v
             if cm >= 0:
-                cost[cm] -= c
+                cost[cm] = -v
         for i in range(m):
             f = cost[basis[i]]
             if f:
-                row = T[i]
-                for j in range(ncols + 1):
-                    if row[j]:
-                        cost[j] -= f * row[j]
-        status = _bland_iterate(T, basis, allowed)
-        if status == "unbounded":
-            return LPCertificate(status="unbounded")
+                # cost/dc - (f/dc) * row/d == (cost * d - f * row) / (dc * d)
+                d = D[i]
+                cost = [a * d - f * b for a, b in zip(cost, T[i])]
+                dc *= d
+                g = gcd(dc, *cost)
+                if g > 1:
+                    cost = [v // g for v in cost]
+                    dc //= g
+        T[-1] = cost
+        D[-1] = dc
+        enter = _bland_iterate(T, D, basis, art0)
+        if enter >= 0:
+            # the basic point, and the edge along which the entering column
+            # grows while no basic column is driven negative
+            ray = {enter: F(1)}
+            for i in range(m):
+                if T[i][enter]:
+                    ray[basis[i]] = F(-T[i][enter], D[i])
+            return LPCertificate(status="unbounded", x=basic_point(),
+                                 ray=point(ray))
 
-    x = [F(0)] * n
-    colval = {}
-    for i in range(m):
-        colval[basis[i]] = T[i][-1]
-    for j, (cp, cm) in enumerate(col_of_var):
-        v = colval.get(cp, F(0))
-        if cm >= 0:
-            v -= colval.get(cm, F(0))
-        x[j] = v
-    duals = None
+    x = basic_point()
     if objective is not None:
-        duals = [sigma[i] * (F(0) - T[-1][art_col[i]]) for i in range(m)]
-        obj_value = sum((c * xi for c, xi in zip(objective, x) if c), F(0))
-        return LPCertificate(status="optimal", x=x, objective_value=obj_value, duals=duals)
+        cost, dc = T[-1], D[-1]
+        duals = [s * F(-cost[art0 + i], dc) for i, s in enumerate(sigma)]
+        return LPCertificate(status="optimal", x=x, objective_value=_dot(objective, x),
+                             duals=duals)
     return LPCertificate(status="feasible", x=x)

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptfwitness.lp import LPProblem, solve, verify_certificate
-from ptfwitness.errors import VerificationError
+from ptfwitness.lp import LPCertificate, LPProblem, solve, verify_certificate
+from ptfwitness.errors import PreconditionError, VerificationError
 
 F = Fraction
 
@@ -59,6 +59,58 @@ def test_unbounded():
     p.objective = [F(-1)]
     cert = solve(p)
     assert cert.status == "unbounded"
+    assert cert.x == [0]
+    assert cert.ray == [1]
+
+
+def test_unbounded_ray_through_free_and_slack_columns():
+    # min -x + y/2 over x >= 0 and a sign-free y, st x - y <= 1 and
+    # y >= -2: the objective falls along x = y, parallel to the first row
+    p = LPProblem(2, nonneg=[True, False])
+    p.add([1, -1], "<=", 1)
+    p.add([0, 1], ">=", -2)
+    p.objective = [F(-1), F(1, 2)]
+    cert = solve(p)
+    assert cert.status == "unbounded"
+    assert cert.x == [1, 0]
+    assert cert.ray == [1, 1]
+
+
+def test_verify_rejects_bogus_unbounded():
+    p = LPProblem(1, nonneg=[True])
+    p.add([1], "<=", 3)
+    p.objective = [F(-1)]
+    with pytest.raises(VerificationError):
+        verify_certificate(p, LPCertificate(status="unbounded"))
+    with pytest.raises(VerificationError):
+        # feasible point, but the ray leaves the feasible set
+        verify_certificate(p, LPCertificate(status="unbounded", x=[F(0)], ray=[F(1)]))
+    with pytest.raises(VerificationError):
+        # a feasible direction that does not lower the objective
+        verify_certificate(p, LPCertificate(status="unbounded", x=[F(0)], ray=[F(0)]))
+
+
+def test_verify_rejects_unknown_status():
+    p = LPProblem(1)
+    p.add([1], ">=", 1)
+    with pytest.raises(VerificationError):
+        verify_certificate(p, LPCertificate(status="solved", x=[F(1)]))
+
+
+def test_short_objective_rejected():
+    p = LPProblem(2)
+    p.add([1, 0], ">=", 0)
+    p.objective = [F(-1)]
+    with pytest.raises(PreconditionError):
+        solve(p)
+
+
+def test_long_objective_rejected():
+    p = LPProblem(1)
+    p.add([1], ">=", 0)
+    p.objective = [F(1), F(1)]
+    with pytest.raises(PreconditionError):
+        solve(p)
 
 
 def test_verify_rejects_bad_point():
@@ -69,8 +121,6 @@ def test_verify_rejects_bad_point():
 
 
 def solve_cert_with_bad_point():
-    from ptfwitness.lp import LPCertificate
-
     return LPCertificate(status="feasible", x=[F(0)])
 
 

@@ -1,0 +1,270 @@
+"""The integer-row simplex in ptfwitness.lp against the Fraction tableau it
+replaced.
+
+The reference below is the earlier dense Fraction implementation of
+_pivot, _bland_iterate and _solve_raw, kept verbatim.  Both tableaux run
+Bland's rule on the same rational values, so they take the same pivots and
+must return the same status, point, Farkas multipliers, duals and objective
+value on every input.  The reference returns no point for an unbounded
+problem, so there only the status is compared (solve() checks the new
+point and ray).
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ptfwitness import lp, oracles
+from ptfwitness.circuits import mp_table
+from ptfwitness.errors import ArtifactError, PreconditionError
+from ptfwitness.lp import LPCertificate, LPProblem
+
+F = Fraction
+
+
+# ------------------------------------------------------------ reference
+
+def _pivot(T: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
+    piv = T[r][c]
+    row_r = T[r]
+    inv = 1 / piv
+    for j in range(len(row_r)):
+        if row_r[j]:
+            row_r[j] *= inv
+    for i, row in enumerate(T):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            for j in range(len(row)):
+                if row_r[j]:
+                    row[j] -= f * row_r[j]
+    basis[r] = c
+
+
+def _bland_iterate(T, basis, allowed) -> str:
+    """Run simplex iterations on tableau T (last row = cost, last col = rhs)."""
+    m = len(T) - 1
+    width = len(T[0]) - 1
+    cost = T[-1]
+    while True:
+        enter = -1
+        for j in range(width):
+            if allowed[j] and cost[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                ratio = T[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _pivot(T, basis, leave, enter)
+
+
+
+def _solve_raw(problem: LPProblem) -> LPCertificate:
+    n = problem.n_vars
+    nonneg = problem.nonneg or [False] * n
+    if len(nonneg) != n:
+        raise PreconditionError("nonneg mask length mismatch")
+
+    # column layout: for each variable either one column (nonneg) or a
+    # split pair x = x+ - x-; then one slack per inequality row; then one
+    # artificial per row.
+    col_of_var: list[tuple[int, int]] = []
+    ncols = 0
+    for nn in nonneg:
+        if nn:
+            col_of_var.append((ncols, -1))
+            ncols += 1
+        else:
+            col_of_var.append((ncols, ncols + 1))
+            ncols += 2
+    slack_col = {}
+    for i, (_, rel, _) in enumerate(problem.rows):
+        if rel != "==":
+            slack_col[i] = ncols
+            ncols += 1
+    art_col = {}
+    for i in range(len(problem.rows)):
+        art_col[i] = ncols
+        ncols += 1
+
+    m = len(problem.rows)
+    T = [[F(0)] * (ncols + 1) for _ in range(m + 1)]
+    sigma = [1] * m
+    for i, (coeffs, rel, rhs) in enumerate(problem.rows):
+        s = 1 if rhs >= 0 else -1
+        sigma[i] = s
+        row = T[i]
+        for j, c in enumerate(coeffs):
+            if not c:
+                continue
+            cp, cm = col_of_var[j]
+            row[cp] += s * c
+            if cm >= 0:
+                row[cm] -= s * c
+        if rel != "==":
+            row[slack_col[i]] = F(s if rel == "<=" else -s)
+        row[art_col[i]] = F(1)
+        row[-1] = s * rhs
+
+    basis = [art_col[i] for i in range(m)]
+    # phase-1 cost: minimize sum of artificials -> reduced costs
+    cost = T[-1]
+    for i in range(m):
+        for j in range(ncols + 1):
+            if T[i][j]:
+                cost[j] -= T[i][j]
+    for i in range(m):
+        cost[art_col[i]] += 1  # art columns have unit cost
+
+    allowed = [True] * ncols
+    status = _bland_iterate(T, basis, allowed)
+    if status != "optimal":
+        raise ArtifactError("phase 1 cannot be unbounded")
+    phase1_value = -T[-1][-1]
+    if phase1_value > 0:
+        # infeasible: multipliers from the reduced costs of the artificials
+        y = []
+        for i in range(m):
+            pi = 1 - T[-1][art_col[i]]
+            y.append(sigma[i] * pi)
+        return LPCertificate(status="infeasible", farkas=y)
+
+    # phase 2
+    art_set = set(art_col.values())
+    for j in art_set:
+        allowed[j] = False
+    # drive artificials out of the basis where possible (degenerate rows)
+    for i in range(m):
+        if basis[i] in art_set:
+            for j in range(ncols):
+                if j not in art_set and T[i][j] != 0:
+                    _pivot(T, basis, i, j)
+                    break
+
+    objective = problem.objective
+    cost = T[-1]
+    for j in range(ncols + 1):
+        cost[j] = F(0)
+    if objective is not None:
+        for j, c in enumerate(objective):
+            if not c:
+                continue
+            cp, cm = col_of_var[j]
+            cost[cp] += c
+            if cm >= 0:
+                cost[cm] -= c
+        for i in range(m):
+            f = cost[basis[i]]
+            if f:
+                row = T[i]
+                for j in range(ncols + 1):
+                    if row[j]:
+                        cost[j] -= f * row[j]
+        status = _bland_iterate(T, basis, allowed)
+        if status == "unbounded":
+            return LPCertificate(status="unbounded")
+
+    x = [F(0)] * n
+    colval = {}
+    for i in range(m):
+        colval[basis[i]] = T[i][-1]
+    for j, (cp, cm) in enumerate(col_of_var):
+        v = colval.get(cp, F(0))
+        if cm >= 0:
+            v -= colval.get(cm, F(0))
+        x[j] = v
+    duals = None
+    if objective is not None:
+        duals = [sigma[i] * (F(0) - T[-1][art_col[i]]) for i in range(m)]
+        obj_value = sum((c * xi for c, xi in zip(objective, x) if c), F(0))
+        return LPCertificate(status="optimal", x=x, objective_value=obj_value, duals=duals)
+    return LPCertificate(status="feasible", x=x)
+
+
+# ------------------------------------------------------------ comparison
+
+def assert_same_answer(p: LPProblem) -> LPCertificate:
+    ref = _solve_raw(p)
+    new = lp._solve_raw(p)
+    lp.verify_certificate(p, new)
+    assert new.status == ref.status
+    fields = ("farkas", "duals", "objective_value")
+    if new.status != "unbounded":
+        fields += ("x",)
+    for name in fields:
+        want, got = getattr(ref, name), getattr(new, name)
+        assert got == want, name
+        values = got if isinstance(got, list) else [] if got is None else [got]
+        assert all(type(v) is Fraction for v in values), name
+    return new
+
+
+rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 6))
+
+
+@st.composite
+def rational_lp(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    p = LPProblem(n, nonneg=[draw(st.booleans()) for _ in range(n)])
+    for _ in range(m):
+        coeffs = [draw(rationals) for _ in range(n)]
+        rel = draw(st.sampled_from(["<=", ">=", "=="]))
+        rhs = F(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
+        p.add(coeffs, rel, rhs)
+    p.objective = draw(st.none() | st.lists(rationals, min_size=n, max_size=n))
+    return p
+
+
+@given(rational_lp())
+@settings(max_examples=300, deadline=None)
+def test_same_answer_as_fraction_tableau(p):
+    assert_same_answer(p)
+
+
+def test_unbounded_status_matches_reference():
+    p = LPProblem(2, nonneg=[True, False])
+    p.add([F(1, 2), F(-1, 3)], ">=", F(1, 4))
+    p.objective = [F(-1, 5), F(0)]
+    cert = assert_same_answer(p)
+    assert cert.status == "unbounded"
+
+
+def _recorded_problems(monkeypatch, run) -> list[LPProblem]:
+    seen = []
+
+    def record(problem):
+        seen.append(problem)
+        return lp.solve(problem)
+
+    monkeypatch.setattr(oracles, "solve", record)
+    run()
+    return seen
+
+
+def test_same_answer_on_threshold_degree_ladder(monkeypatch):
+    problems = _recorded_problems(monkeypatch, lambda: oracles.threshold_degree(mp_table(2, 3)))
+    assert len(problems) >= 2
+    statuses = {assert_same_answer(p).status for p in problems}
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_same_answer_on_smooth_ladder(monkeypatch):
+    # right-hand sides -floor * sum(...) with floor = gamma / |X| exercise the
+    # per-row lcm scaling
+    problems = _recorded_problems(
+        monkeypatch, lambda: oracles.smooth_threshold_degree(mp_table(2, 3), F(1, 1728)))
+    assert any(rhs.denominator > 1 for p in problems for _, _, rhs in p.rows)
+    for p in problems:
+        assert_same_answer(p)
