@@ -147,10 +147,6 @@ class ProductMixture:
         return sum((abs(c) for c, _ in self.terms), F(0))
 
 
-def single_product(factors: dict[str, FnTable], labels: tuple[str, ...]) -> ProductMixture:
-    return ProductMixture(factors, [(F(1), labels)])
-
-
 def expand_power(factors: dict[str, FnTable], weights: dict[str, Fraction],
                  m: int) -> ProductMixture:
     """(sum_l weights[l] * factor_l)^(tensor m), expanded into len(weights)^m

@@ -1,11 +1,14 @@
 """Degree oracles: ground truth for every constructed witness.
 
-Threshold degree and its relatives are computed by ladders of exact
-feasibility programs.  At each level d the oracle asks for a sign-agreeing
-weight function orthogonal to all monomials of degree < d; the first
-infeasible level pins the value, its Farkas multipliers assemble into a
-sign-representing polynomial, and the last feasible level supplies the
-dual witness.  Both artifacts are re-checked before being returned.
+Threshold degree (gamma = 0) and gamma-smooth threshold degree share one
+ladder of exact feasibility programs: with s = (-1)^f, level L asks for
+nu >= 0 of total 1 - gamma with s (gamma/|X| + nu) orthogonal to all
+monomials of degree < L.  The last feasible level, L = value, gives the
+dual witness; the first infeasible level's Farkas multipliers give the
+primal q, of degree <= value, with (gamma/|X|) sum_p s_p q(p) +
+(1 - gamma) min_p s_p q(p) >= 1 (margin-1 sign representation at gamma = 0),
+so no distribution with floor gamma/|X| twists orthogonally to q.  Both
+artifacts are re-checked before being returned.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Domain,
@@ -23,7 +27,7 @@ from .core import (
     monomials,
     orth,
 )
-from .errors import PreconditionError, VerificationError
+from .errors import ArtifactError, PreconditionError, VerificationError
 from .lp import LPCertificate, LPProblem, solve
 
 F = Fraction
@@ -59,17 +63,27 @@ def negate_inputs(f: FnTable) -> FnTable:
 @dataclass
 class DegreeAnswer:
     value: int
-    primal: dict[Point, Fraction] | None  # exponent vector -> coefficient
+    # exponent vector -> coefficient of q, deg q <= value.  Threshold and smooth:
+    # (gamma/|X|) sum_p s_p q(p) + (1 - gamma) min_p s_p q(p) >= 1, gamma None
+    # read as 0; iii: q maps each point into its interval
+    primal: dict[Point, Fraction] | None
     dual: FnTable | None
     gamma: Fraction | None = None
     detail: dict = field(default_factory=dict)
 
 
-def _monomial_rows(domain: Domain, max_deg: int) -> list[Point]:
-    out: list[Point] = []
-    for d in range(max_deg + 1):
-        out.extend(monomials(domain.bounds, d))
-    return out
+def _monomial_table(domain: Domain, points: list[Point]
+                    ) -> Iterator[tuple[list[Point], list[list[int]]]]:
+    """For d = 0 .. sum(bounds), the monomials alphas of degree <= d and
+    their values table[k][i] = points[i]^alphas[k]; each yield extends the
+    same two lists.  At the last d they span every function on the domain."""
+    alphas: list[Point] = []
+    table: list[list[int]] = []
+    for d in range(sum(domain.bounds) + 1):
+        for a in monomials(domain.bounds, d):
+            alphas.append(a)
+            table.append([eval_monomial(p, a) for p in points])
+        yield alphas, table
 
 
 def eval_poly(coeffs: dict[Point, Fraction], p: Point) -> Fraction:
@@ -85,34 +99,60 @@ def poly_degree(coeffs: dict[Point, Fraction]) -> int:
     return max(degs) if degs else 0
 
 
-def _dual_feasibility(points: list[Point], signs: list[int], domain: Domain,
-                      level: int) -> LPCertificate:
-    """LP for: nonnegative weights y, sum 1, with (-1)^f y orthogonal to all
-    monomials of degree < level."""
+def _check_margin(primal: dict[Point, Fraction], alphas: list[Point],
+                  rows: list[list[int]], gamma: Fraction) -> None:
+    """Re-check (gamma/|X|) sum_p s_p q(p) + (1 - gamma) min_p s_p q(p) >= 1
+    in integers, over the common denominator of q's coefficients."""
+    den = lcm(*(c.denominator for c in primal.values()))
+    n_pts = len(rows[0])
+    sq = [0] * n_pts  # den * s_p * q(p)
+    for alpha, row in zip(alphas, rows):
+        c = primal.get(alpha)
+        if c:
+            k = c.numerator * (den // c.denominator)
+            sq = [a + k * v for a, v in zip(sq, row)]
+    g, h = gamma.numerator, gamma.denominator
+    if g * sum(sq) + (h - g) * n_pts * min(sq) < den * n_pts * h:
+        raise VerificationError("recovered polynomial lacks margin")
+
+
+def _ladder(f: FnTable, gamma: Fraction):
+    """The ladder of threshold_degree (gamma = 0) and smooth_threshold_degree.
+
+    Returns the value, the re-checked primal q, and the point nu of the
+    last feasible level keyed by domain point (None when the value is 0).
+    """
+    dom = f.domain
+    points = list(dom.points())
+    if not points:
+        raise PreconditionError("empty domain")
+    signs = [(-1 if f(p) == 1 else 1) for p in points]
     n_pts = len(points)
-    prob = LPProblem(n_pts, nonneg=[True] * n_pts)
-    for alpha in _monomial_rows(domain, level - 1):
-        row = [F(s * eval_monomial(p, alpha)) for p, s in zip(points, signs)]
-        prob.add(row, "==", 0)
-    prob.add([F(1)] * n_pts, "==", 1)
-    return solve(prob)
+    floor = gamma / n_pts
+    rows: list[list[int]] = []  # rows[k][i] = signs[i] * table[k][i]
+    nu = None
+    for level, (alphas, table) in enumerate(_monomial_table(dom, points), start=1):
+        rows += [[s * v for s, v in zip(signs, vals)] for vals in table[len(rows):]]
+        prob = LPProblem(n_pts, nonneg=[True] * n_pts)
+        for row in rows:
+            prob.add(row, "==", -floor * sum(row))
+        prob.add([1] * n_pts, "==", 1 - gamma)
+        cert = solve(prob)
+        if cert.status == "infeasible":
+            # y = (z, w): s_p z(p) + w <= 0 and r = floor sum_p -s_p z(p) + (1 - gamma) w,
+            # so q = -z/r has s_p q(p) >= w/r and 1 = floor sum_p s_p q(p) + (1 - gamma) w/r
+            r = sum((y * rhs for y, (_, _, rhs) in zip(cert.farkas, prob.rows) if y), F(0))
+            primal = {a: -z / r for a, z in zip(alphas, cert.farkas) if z}
+            value = level - 1
+            if poly_degree(primal) > value:
+                raise VerificationError("primal witness degree too high")
+            _check_margin(primal, alphas, rows, gamma)
+            return value, primal, nu
+        nu = dict(zip(points, cert.x))
+    raise ArtifactError("the full-degree level cannot be feasible")
 
 
-def _primal_from_farkas(cert: LPCertificate, domain: Domain, level: int,
-                        points: list[Point], signs: list[int]) -> dict[Point, Fraction]:
-    alphas = _monomial_rows(domain, level - 1)
-    z = cert.farkas[: len(alphas)]
-    w = cert.farkas[len(alphas)]
-    if w <= 0:
-        raise VerificationError("farkas normalization multiplier not positive")
-    coeffs = {a: -zi / w for a, zi in zip(alphas, z) if zi}
-    for p, s in zip(points, signs):
-        if s * eval_poly(coeffs, p) < 1:
-            raise VerificationError("recovered sign representation lacks margin")
-    return coeffs
-
-
-def threshold_degree(f: FnTable, cap: int | None = None) -> DegreeAnswer:
+def threshold_degree(f: FnTable) -> DegreeAnswer:
     """Least degree of a polynomial agreeing in sign with (-1)^f.
 
     Returns the exact value together with a margin-1 sign-representing
@@ -120,71 +160,36 @@ def threshold_degree(f: FnTable, cap: int | None = None) -> DegreeAnswer:
     witness: a sign-agreeing probability weighting orthogonal to every
     polynomial of lower degree.
     """
-    dom = f.domain
-    points = list(dom.points())
-    if not points:
-        raise PreconditionError("empty domain")
-    signs = [(-1 if f(p) == 1 else 1) for p in points]
-    if cap is None:
-        cap = sum(dom.bounds)
+    value, primal, nu = _ladder(f, F(0))
     dual_witness: FnTable | None = None
-    for level in range(1, cap + 2):
-        cert = _dual_feasibility(points, signs, dom, level)
-        if cert.status == "infeasible":
-            value = level - 1
-            primal = _primal_from_farkas(cert, dom, level, points, signs)
-            if poly_degree(primal) > value:
-                raise VerificationError("primal witness degree too high")
-            if dual_witness is not None and not orth(dual_witness, cap=value - 1).ge(value):
-                raise VerificationError("dual witness orthogonality failed re-check")
-            return DegreeAnswer(value=value, primal=primal, dual=dual_witness)
-        psi = FnTable(dom, {p: s * y for p, s, y in zip(points, signs, cert.x) if y},
-                      _trusted=True)
-        dual_witness = psi
-    raise VerificationError(f"threshold degree exceeded cap {cap}; domain too rich")
+    if nu is not None:
+        dual_witness = FnTable(f.domain, nu).hadamard(sign_table(f))
+        if not orth(dual_witness, cap=value - 1).ge(value):
+            raise VerificationError("dual witness orthogonality failed re-check")
+    return DegreeAnswer(value=value, primal=primal, dual=dual_witness)
 
 
-def smooth_threshold_degree(f: FnTable, gamma: Fraction,
-                            cap: int | None = None) -> DegreeAnswer:
+def smooth_threshold_degree(f: FnTable, gamma: Fraction) -> DegreeAnswer:
     """Largest d witnessed by a distribution with pointwise floor gamma/|X|.
 
     Maximizes orth((-1)^f mu) over distributions mu >= gamma/|X| on the
-    domain, by the same feasibility ladder as threshold_degree.  At
-    gamma = 0 this equals the threshold degree.
+    domain, by the ladder of threshold_degree; at gamma = 0 both return the
+    same value, primal and dual.  The primal q certifies that no such mu does better.
     """
     gamma = F(gamma)
     if gamma < 0 or gamma > 1:
         raise PreconditionError("gamma must lie in [0, 1]")
-    dom = f.domain
-    points = list(dom.points())
-    signs = [(-1 if f(p) == 1 else 1) for p in points]
-    size = len(points)
-    floor = gamma / size
-    if cap is None:
-        cap = sum(dom.bounds)
-    n_pts = len(points)
+    value, primal, nu = _ladder(f, gamma)
     best_mu: FnTable | None = None
-    value = 0
-    for level in range(1, cap + 2):
-        prob = LPProblem(n_pts, nonneg=[True] * n_pts)
-        for alpha in _monomial_rows(dom, level - 1):
-            row = [F(s * eval_monomial(p, alpha)) for p, s in zip(points, signs)]
-            rhs = -floor * sum(s * eval_monomial(p, alpha) for p, s in zip(points, signs))
-            prob.add(row, "==", rhs)
-        prob.add([F(1)] * n_pts, "==", 1 - gamma)
-        cert = solve(prob)
-        if cert.status == "infeasible":
-            break
-        mu = {p: floor + nu for p, nu in zip(points, cert.x)}
-        best_mu = FnTable(dom, mu)
-        value = level
-    if best_mu is not None:
-        if best_mu.total() != 1 or any(best_mu(p) < floor for p in points):
+    if nu is not None:
+        floor = gamma / len(nu)
+        best_mu = FnTable(f.domain, {p: floor + v for p, v in nu.items()})
+        if best_mu.total() != 1 or any(best_mu(p) < floor for p in nu):
             raise VerificationError("smooth witness failed distribution re-check")
         twisted = best_mu.hadamard(sign_table(f))
         if not orth(twisted, cap=value - 1).ge(value):
             raise VerificationError("smooth witness orthogonality failed re-check")
-    return DegreeAnswer(value=value, primal=None, dual=best_mu, gamma=gamma)
+    return DegreeAnswer(value=value, primal=primal, dual=best_mu, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -253,7 +258,7 @@ def total_fn(f: FnTable) -> PartialFn:
 
 
 def iii_approx_degree(f: PartialFn, i0: Interval, i1: Interval, istar: Interval,
-                      margin: Fraction = F(1), cap: int | None = None) -> DegreeAnswer:
+                      margin: Fraction = F(1)) -> DegreeAnswer:
     """Least degree of a polynomial mapping the 0-, 1-, and star-points of f
     into the three intervals.  Threshold degree, eps-approximate degree and
     one-sided approximate degree are instances of this oracle.
@@ -262,15 +267,12 @@ def iii_approx_degree(f: PartialFn, i0: Interval, i1: Interval, istar: Interval,
     bands = {"0": i0.realized(margin), "1": i1.realized(margin), "*": istar.realized(margin)}
     dom = f.domain
     points = list(dom.points())
-    if cap is None:
-        cap = sum(dom.bounds)
     prev_cert: LPCertificate | None = None
-    for d in range(cap + 1):
-        alphas = _monomial_rows(dom, d)
+    for d, (alphas, table) in enumerate(_monomial_table(dom, points)):
         prob = LPProblem(len(alphas))
-        for p in points:
+        for i, p in enumerate(points):
             lo, hi = bands[f.value(p)]
-            row = [F(eval_monomial(p, a)) for a in alphas]
+            row = [vals[i] for vals in table]
             if lo is not None:
                 prob.add(row, ">=", lo)
             if hi is not None:

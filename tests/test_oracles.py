@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from ptfwitness.core import hypercube, orth
-from ptfwitness.errors import PreconditionError
+from ptfwitness import oracles
+from ptfwitness.core import Domain, FnTable, eval_monomial, hypercube, orth
+from ptfwitness.errors import PreconditionError, VerificationError
 from ptfwitness.oracles import (
     DegreeAnswer,
     Interval,
@@ -117,6 +119,45 @@ def test_smooth_parity_uniform_witness():
 def test_smooth_rejects_bad_gamma():
     with pytest.raises(PreconditionError):
         smooth_threshold_degree(and_table(1), F(3, 2))
+
+
+def test_degree_oracles_reject_empty_domain():
+    empty = FnTable(Domain((1, 1), window=(5, 5)), {})
+    with pytest.raises(PreconditionError):
+        threshold_degree(empty)
+    with pytest.raises(PreconditionError):
+        smooth_threshold_degree(empty, F(1, 2))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_smooth_primal_certifies_upper_bound(n):
+    # q of degree <= value with (gamma/|X|) sum s q + (1 - gamma) min s q >= 1:
+    # no distribution with floor gamma/|X| twists orthogonally to q
+    rng = random.Random(n)
+    dom = hypercube(n)
+    pts = list(dom.points())
+    for _ in range(6):
+        f = bool_table(dom, [p for p in pts if rng.random() < 0.5])
+        for gamma in (F(0), F(1, 1728), F(1, 4), F(1, 2), F(1)):
+            ans = smooth_threshold_degree(f, gamma)
+            assert ans.primal
+            assert max(sum(a) for a in ans.primal) <= ans.value
+            sq = [(-1 if f(p) == 1 else 1)
+                  * sum(c * eval_monomial(p, a) for a, c in ans.primal.items()) for p in pts]
+            assert gamma / len(pts) * sum(sq) + (1 - gamma) * min(sq) >= 1
+            if gamma == 0:
+                assert ans.primal == threshold_degree(f).primal
+
+
+def test_margin_recheck_rejects_short_polynomial():
+    # f(x) = x on one bit: s = (1, -1); q = 1 - 2x has s q = (1, 1), while
+    # q = 1 - x has s q = (1, 0), short of margin 1 at every gamma
+    alphas = [(0,), (1,)]
+    rows = [[1, -1], [0, -1]]
+    for gamma in (F(0), F(1, 2), F(1)):
+        oracles._check_margin({(0,): F(1), (1,): F(-2)}, alphas, rows, gamma)
+        with pytest.raises(VerificationError):
+            oracles._check_margin({(0,): F(1), (1,): F(-1)}, alphas, rows, gamma)
 
 
 def test_iii_single_variable():
