@@ -17,18 +17,19 @@ from .errors import PreconditionError
 Bracket = tuple[Fraction, Fraction]
 
 
+def _check_bits(bits: int) -> None:
+    if bits < 0:
+        raise PreconditionError("bits must be >= 0")
+
+
 def _round_down(x: Fraction, bits: int) -> Fraction:
     scale = 1 << bits
     return Fraction(x.numerator * scale // x.denominator, scale)
 
 
-def _round_up(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(-((-x.numerator * scale) // x.denominator), scale)
-
-
 def sqrt_lower(x: Fraction, bits: int = 32) -> Fraction:
     """Largest dyadic k/2^bits with (k/2^bits)^2 <= x."""
+    _check_bits(bits)
     if x < 0:
         raise PreconditionError("sqrt of a negative number")
     k = isqrt(x.numerator * (1 << (2 * bits)) // x.denominator)
@@ -36,6 +37,8 @@ def sqrt_lower(x: Fraction, bits: int = 32) -> Fraction:
 
 
 def sqrt_upper(x: Fraction, bits: int = 32) -> Fraction:
+    """Smallest dyadic k/2^bits with (k/2^bits)^2 >= x."""
+    _check_bits(bits)
     if x < 0:
         raise PreconditionError("sqrt of a negative number")
     t = -((-x.numerator * (1 << (2 * bits))) // x.denominator)
@@ -128,41 +131,51 @@ def e_brackets(terms: int = 20) -> Bracket:
 def pow2_brackets(exponent, bits: int = 24) -> Bracket:
     """Enclose 2**exponent for any rational exponent.
 
-    Works digit by digit on the binary expansion of the fractional part,
-    using directed-rounded dyadic square roots of 2; each step keeps the
-    denominators bounded, so arbitrary exponent denominators stay cheap.
+    Works digit by digit on the binary expansion of the fractional part f/q
+    (read in integers: double f, subtract q once it reaches q), using
+    directed-rounded dyadic square roots of 2.  The chain r_lo, r_hi of
+    brackets of 2^(1/2^j) and the two accumulated products are integer
+    numerators over the fixed denominator 2^work: a square root is one
+    isqrt of a << work (rounded up for the upper side) and a rounded
+    product is (a * b) >> work, floor or ceiling.  Fractions are built only
+    for the returned pair, so arbitrary exponent denominators stay cheap.
     """
+    _check_bits(bits)
     e = Fraction(exponent)
     if e < 0:
         lo, hi = pow2_brackets(-e, bits)
         return 1 / hi, 1 / lo
-    k = e.numerator // e.denominator
-    frac = e - k
-    base = Fraction(1 << k)
-    if frac == 0:
+    q = e.denominator
+    k, f = divmod(e.numerator, q)
+    if f == 0:
+        base = Fraction(1 << k)
         return base, base
     work = 2 * bits + 8
-    lo_acc, hi_acc = Fraction(1), Fraction(1)
-    r_lo, r_hi = Fraction(2), Fraction(2)  # brackets of 2^(1/2^j)
-    f = frac
+    one = 1 << work
+    lo_acc, hi_acc = one, one  # numerators over 2^work
+    r_lo, r_hi = 2 * one, 2 * one  # brackets of 2^(1/2^j), same denominator
     for _ in range(bits):
-        r_lo = sqrt_lower(r_lo, work)
-        r_hi = sqrt_upper(r_hi, work)
+        r_lo = isqrt(r_lo << work)
+        t = r_hi << work
+        r_hi = isqrt(t)
+        if r_hi * r_hi < t:
+            r_hi += 1
         f *= 2
-        if f >= 1:
-            f -= 1
-            lo_acc = _round_down(lo_acc * r_lo, work)
-            hi_acc = _round_up(hi_acc * r_hi, work)
+        if f >= q:
+            f -= q
+            lo_acc = (lo_acc * r_lo) >> work
+            hi_acc = -((-hi_acc * r_hi) >> work)
         if f == 0:
             break
     if f != 0:
         # unresolved tail exponent is below 2^-bits; absorb one more factor
-        hi_acc = _round_up(hi_acc * r_hi, work)
-    return base * lo_acc, base * hi_acc
+        hi_acc = -((-hi_acc * r_hi) >> work)
+    return Fraction(lo_acc << k, one), Fraction(hi_acc << k, one)
 
 
 def pow_brackets(base, exponent, bits: int = 24) -> Bracket:
     """Enclose base**exponent for positive rational base and exponent."""
+    _check_bits(bits)
     b = Fraction(base)
     e = Fraction(exponent)
     if b <= 0:
@@ -181,6 +194,7 @@ def root_brackets(base, p: int, q: int, bits: int = 24) -> Bracket:
     Small q uses exact dyadic binary search (comparisons are integer power
     comparisons); larger q goes through logarithms.
     """
+    _check_bits(bits)
     base = Fraction(base)
     if base < 0:
         raise PreconditionError("root of a negative base")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import PreconditionError
@@ -359,6 +359,10 @@ def orth(f: FnTable, cap: int | None = None) -> OrthResult:
     Monomials of degree < d span every polynomial of degree < d on the box,
     so scanning them in degree order decides the least degree exactly.  The
     scan stops at `cap`; if nothing was found the result is "at_least cap+1".
+
+    The scan runs in integers: the table is scaled once by the lcm `den` of
+    its denominators to weights w_p = den * f(p), and each inner product
+    sum_p w_p * p^alpha is a Python int, nonzero exactly when <f, x^alpha> is.
     """
     if f.is_zero():
         return OrthResult.infinite()
@@ -366,14 +370,15 @@ def orth(f: FnTable, cap: int | None = None) -> OrthResult:
         cap = default_orth_cap(f.domain)
     if cap < 0:
         raise PreconditionError("cap must be >= 0")
-    items = list(f.entries.items())
+    den = lcm(*(v.denominator for v in f.entries.values()))
+    items = [(p, v.numerator * (den // v.denominator)) for p, v in f.entries.items()]
     bounds = f.domain.bounds
     for d in range(cap + 1):
         for alpha in monomials(bounds, d):
-            acc = Fraction(0)
-            for p, v in items:
-                acc += v * eval_monomial(p, alpha)
-            if acc != 0:
+            acc = 0
+            for p, w in items:
+                acc += w * eval_monomial(p, alpha)
+            if acc:
                 return OrthResult.exact(d, alpha)
     return OrthResult.at_least(cap + 1)
 

@@ -202,21 +202,22 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3), delta=None,
     if len(weights) < N or any(w <= 0 for w in weights):
         raise PreconditionError("need N positive weights")
 
-    def om_at(t: int) -> Fraction:
-        return om.get(t, F(0))
-
+    # psi_raw(t) = omega(t) + sum_{1 <= i <= cut} c_i omega(t - i)
+    #                        + sum_{cut < i <= N} c_i omega(i - t),
+    # c_i = delta (-1)^i w_i, summed over omega's few support points u:
+    # i = t - u in the first sum, i = t + u in the second.  At u = 0 both
+    # are i = t, which lies in only one of the two ranges.
     cut = N - half
+    c = [F(0)] + [delta * w if i % 2 == 0 else -delta * w
+                  for i, w in enumerate(weights[:N], start=1)]
     psi_raw: dict[int, Fraction] = {}
     for t in range(N + 1):
-        acc = om_at(t)
-        for i in range(1, cut + 1):
-            v = om_at(t - i)
-            if v:
-                acc += delta * (-1) ** i * weights[i - 1] * v
-        for i in range(cut + 1, N + 1):
-            v = om_at(i - t)
-            if v:
-                acc += delta * (-1) ** i * weights[i - 1] * v
+        acc = om.get(t, F(0))
+        for u, v in om.items():
+            if 1 <= t - u <= cut:
+                acc += c[t - u] * v
+            if cut < t + u <= N:
+                acc += c[t + u] * v
         psi_raw[t] = acc
 
     total = sum(abs(v) for v in psi_raw.values())

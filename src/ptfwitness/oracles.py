@@ -257,21 +257,43 @@ def total_fn(f: FnTable) -> PartialFn:
     return PartialFn(f.domain, frozenset(f.entries.keys()))
 
 
+def _check_approx_dual(dual: FnTable, value: int,
+                       ends: dict[Point, tuple[Fraction | None, Fraction | None]]) -> None:
+    """Re-check the folded dual w of iii_approx_degree: orthogonal to every
+    monomial of degree < value, and sum_p w_p * (lo_p if w_p > 0 else hi_p)
+    > 0, so no polynomial of degree < value maps each p into [lo_p, hi_p]."""
+    if not orth(dual, cap=value - 1).ge(value):
+        raise VerificationError("approximation dual not orthogonal below the value")
+    total = F(0)
+    for p, w in dual.entries.items():
+        end = ends[p][0 if w > 0 else 1]
+        if end is None:
+            raise VerificationError(f"approximation dual weights an unbounded end at {p}")
+        total += w * end
+    if total <= 0:
+        raise VerificationError("approximation dual does not certify the lower bound")
+
+
 def iii_approx_degree(f: PartialFn, i0: Interval, i1: Interval, istar: Interval,
                       margin: Fraction = F(1)) -> DegreeAnswer:
     """Least degree of a polynomial mapping the 0-, 1-, and star-points of f
     into the three intervals.  Threshold degree, eps-approximate degree and
-    one-sided approximate degree are instances of this oracle.
+    one-sided approximate degree are instances of this oracle.  The dual
+    (the previous level's Farkas multipliers folded per point) is re-checked
+    before being returned.
     """
     margin = F(margin)
     bands = {"0": i0.realized(margin), "1": i1.realized(margin), "*": istar.realized(margin)}
     dom = f.domain
     points = list(dom.points())
+    if not points:
+        raise PreconditionError("empty domain")
+    ends = {p: bands[f.value(p)] for p in points}
     prev_cert: LPCertificate | None = None
     for d, (alphas, table) in enumerate(_monomial_table(dom, points)):
         prob = LPProblem(len(alphas))
         for i, p in enumerate(points):
-            lo, hi = bands[f.value(p)]
+            lo, hi = ends[p]
             row = [vals[i] for vals in table]
             if lo is not None:
                 prob.add(row, ">=", lo)
@@ -287,7 +309,7 @@ def iii_approx_degree(f: PartialFn, i0: Interval, i1: Interval, istar: Interval,
                 weights: dict[Point, Fraction] = {}
                 k = 0
                 for p in points:
-                    lo, hi = bands[f.value(p)]
+                    lo, hi = ends[p]
                     w = F(0)
                     if lo is not None:
                         w += prev_cert.farkas[k]
@@ -298,6 +320,7 @@ def iii_approx_degree(f: PartialFn, i0: Interval, i1: Interval, istar: Interval,
                     if w:
                         weights[p] = w
                 dual = FnTable(dom, weights)
+                _check_approx_dual(dual, d, ends)
             return DegreeAnswer(value=d, primal=coeffs, dual=dual)
         prev_cert = cert
     raise VerificationError("no approximant up to the full interpolation degree")

@@ -1,16 +1,21 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptfwitness.brackets import (
     e_brackets,
+    inv_sqrt_brackets,
     ln_brackets,
     pow2_brackets,
     pow_brackets,
     root_brackets,
     sqrt_brackets,
+    sqrt_lower,
+    sqrt_upper,
 )
+from ptfwitness.errors import PreconditionError
 
 F = Fraction
 
@@ -57,3 +62,87 @@ def test_pow_brackets_fraction_base():
     lo, hi = pow_brackets(F(1, 2), F(7, 2))
     v = 0.5**3.5
     assert float(lo) <= v <= float(hi)
+
+
+def test_negative_bits_rejected():
+    calls = [
+        lambda: pow2_brackets(F(1, 3), bits=-5),
+        lambda: sqrt_brackets(2, bits=-1),
+        lambda: sqrt_lower(F(2), bits=-1),
+        lambda: sqrt_upper(F(2), bits=-1),
+        lambda: inv_sqrt_brackets(3, bits=-1),
+        lambda: pow_brackets(F(3), F(1, 2), bits=-1),
+        lambda: root_brackets(F(3), 1, 2, bits=-1),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError):
+            call()
+
+
+# pow2_brackets as it was before its integer rewrite, with the helpers it
+# called: Fraction accumulators, rounded through Fraction at every step
+
+
+def _round_down(x, bits):
+    scale = 1 << bits
+    return Fraction(x.numerator * scale // x.denominator, scale)
+
+
+def _round_up(x, bits):
+    scale = 1 << bits
+    return Fraction(-((-x.numerator * scale) // x.denominator), scale)
+
+
+def _sqrt_lower(x, bits=32):
+    k = math.isqrt(x.numerator * (1 << (2 * bits)) // x.denominator)
+    return Fraction(k, 1 << bits)
+
+
+def _sqrt_upper(x, bits=32):
+    t = -((-x.numerator * (1 << (2 * bits))) // x.denominator)
+    k = math.isqrt(t)
+    if k * k < t:
+        k += 1
+    return Fraction(k, 1 << bits)
+
+
+def _pow2_reference(exponent, bits=24):
+    e = Fraction(exponent)
+    if e < 0:
+        lo, hi = _pow2_reference(-e, bits)
+        return 1 / hi, 1 / lo
+    k = e.numerator // e.denominator
+    frac = e - k
+    base = Fraction(1 << k)
+    if frac == 0:
+        return base, base
+    work = 2 * bits + 8
+    lo_acc, hi_acc = Fraction(1), Fraction(1)
+    r_lo, r_hi = Fraction(2), Fraction(2)  # brackets of 2^(1/2^j)
+    f = frac
+    for _ in range(bits):
+        r_lo = _sqrt_lower(r_lo, work)
+        r_hi = _sqrt_upper(r_hi, work)
+        f *= 2
+        if f >= 1:
+            f -= 1
+            lo_acc = _round_down(lo_acc * r_lo, work)
+            hi_acc = _round_up(hi_acc * r_hi, work)
+        if f == 0:
+            break
+    if f != 0:
+        # unresolved tail exponent is below 2^-bits; absorb one more factor
+        hi_acc = _round_up(hi_acc * r_hi, work)
+    return base * lo_acc, base * hi_acc
+
+
+exponents = st.one_of(
+    st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.builds(F, st.integers(-64, 64), st.sampled_from([1, 2, 4, 8, 1 << 20, 1 << 40])),
+)
+
+
+@given(exponents, st.integers(1, 32))
+@settings(max_examples=300, deadline=None)
+def test_pow2_matches_fraction_reference(e, bits):
+    assert pow2_brackets(e, bits) == _pow2_reference(e, bits)

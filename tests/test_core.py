@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from ptfwitness.core import (
     Domain,
     FnTable,
+    OrthResult,
     box,
     chi,
+    default_orth_cap,
+    eval_monomial,
     fourier,
     from_fourier,
     hypercube,
@@ -281,3 +285,55 @@ def test_orth_capped_exponents_match_uncapped():
             if uncapped is not None:
                 break
         assert capped == uncapped
+
+
+def _orth_reference(f, cap=None):
+    """orth as it was before its integer rewrite: a Fraction sum per monomial."""
+    if f.is_zero():
+        return OrthResult.infinite()
+    if cap is None:
+        cap = default_orth_cap(f.domain)
+    if cap < 0:
+        raise PreconditionError("cap must be >= 0")
+    items = list(f.entries.items())
+    bounds = f.domain.bounds
+    for d in range(cap + 1):
+        for alpha in monomials(bounds, d):
+            acc = Fraction(0)
+            for p, v in items:
+                acc += v * eval_monomial(p, alpha)
+            if acc != 0:
+                return OrthResult.exact(d, alpha)
+    return OrthResult.at_least(cap + 1)
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 12))
+
+
+@st.composite
+def box_tables(draw):
+    """Random rational tables on small boxes.  Half of them are the
+    alternating binomial kernel prod_i (-1)^k_i C(b_i, k_i), orthogonal to
+    every polynomial of degree < sum(b), times a random polynomial of degree
+    <= 1, so the scan often runs past the low degrees."""
+    n = draw(st.integers(1, 3))
+    bounds = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    offset = tuple(draw(st.integers(0, 2)) for _ in range(n))
+    dom = Domain(bounds, offset)
+    pts = list(dom.points())
+    if draw(st.booleans()):
+        return FnTable(dom, {p: draw(rationals) for p in pts if draw(st.booleans())})
+    q = [draw(rationals) for _ in range(n + 1)]
+    entries = {}
+    for p in pts:
+        kernel = 1
+        for x, o, b in zip(p, offset, bounds):
+            kernel *= (-1) ** (x - o) * comb(b, x - o)
+        entries[p] = kernel * (q[0] + sum(c * x for c, x in zip(q[1:], p)))
+    return FnTable(dom, entries)
+
+
+@given(box_tables(), st.one_of(st.none(), st.integers(0, 10)))
+@settings(max_examples=200, deadline=None)
+def test_orth_matches_fraction_reference(f, cap):
+    assert orth(f, cap) == _orth_reference(f, cap)

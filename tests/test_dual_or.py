@@ -7,6 +7,8 @@ from ptfwitness.dual_or import (
     _omega_spec,
     build_omega,
     build_psi,
+    default_delta,
+    default_weights,
     omega_binomial_form,
     omega_values,
 )
@@ -108,3 +110,41 @@ def test_psi_inner_sparse_regime():
     assert cert.orth_value >= 3
     assert cert.at_zero > F(1, 3)
     assert psi.l1() == 1
+
+
+def _psi_reference(n, N, eps):
+    """psi as build_psi computed it before summing over omega's support:
+    every shift i = 1..N looked up for every t."""
+    half = -(-n // 2)
+    omega_t, omega_cert = build_omega(half, eps / 6)
+    scale = 1 / omega_cert.l1
+    om = {t: v * scale for (t,), v in omega_t.entries.items()}
+    delta = default_delta(eps)
+    weights = default_weights(n, N)
+
+    def om_at(t: int) -> Fraction:
+        return om.get(t, F(0))
+
+    cut = N - half
+    psi_raw = {}
+    for t in range(N + 1):
+        acc = om_at(t)
+        for i in range(1, cut + 1):
+            v = om_at(t - i)
+            if v:
+                acc += delta * (-1) ** i * weights[i - 1] * v
+        for i in range(cut + 1, N + 1):
+            v = om_at(i - t)
+            if v:
+                acc += delta * (-1) ** i * weights[i - 1] * v
+        psi_raw[t] = acc
+    total = sum(abs(v) for v in psi_raw.values())
+    return {t: v / total for t, v in psi_raw.items()}
+
+
+def test_psi_matches_quadratic_reference():
+    eps = F(1, 3)
+    for n in range(1, 41):
+        for N in sorted({n, n + 3, 2 * n}):
+            _, cert = build_psi(n, N, eps)
+            assert cert.psi_values == _psi_reference(n, N, eps), (n, N)

@@ -186,6 +186,56 @@ def test_iii_empty_interval_rejected():
         iii_approx_degree(f, bad, Interval.everything(), Interval.everything(), margin=F(1))
 
 
+def test_iii_empty_domain_rejected():
+    f = total_fn(FnTable(Domain((1, 1), window=(5, 5)), {}))
+    with pytest.raises(PreconditionError):
+        iii_approx_degree(f, *approx_intervals(F(1, 3)), margin=F(0))
+
+
+def test_iii_dual_rechecked(monkeypatch):
+    checked = []
+    check = oracles._check_approx_dual
+    monkeypatch.setattr(oracles, "_check_approx_dual",
+                        lambda *args: checked.append(args) or check(*args))
+    rng = random.Random(11)
+    dom = hypercube(3)
+    pts = list(dom.points())
+    for _ in range(6):
+        f = total_fn(bool_table(dom, [p for p in pts if rng.random() < 0.5]))
+        for spec in (approx_intervals(F(1, 3)), oracles.one_sided_intervals(F(1, 4))):
+            ans = iii_approx_degree(f, *spec, margin=F(0))
+            if ans.value == 0:
+                assert ans.dual is None
+                continue
+            ends = {p: (spec[1] if p in f.ones else spec[0]).realized(F(0)) for p in pts}
+            assert checked.pop() == (ans.dual, ans.value, ends)
+
+
+def test_iii_dual_check_rejects_altered_weight():
+    f = total_fn(or_table(3))
+    ans = iii_approx_degree(f, *approx_intervals(F(1, 3)), margin=F(0))
+    assert ans.value >= 1
+    ends = {p: approx_intervals(F(1, 3))[f.value(p) == "1"].realized(F(0))
+            for p in f.domain.points()}
+    oracles._check_approx_dual(ans.dual, ans.value, ends)
+    p, w = next(iter(ans.dual.entries.items()))
+    for altered in (2 * w, w + 1, -w):
+        bad = FnTable(ans.dual.domain, {**ans.dual.entries, p: altered})
+        with pytest.raises(VerificationError):
+            oracles._check_approx_dual(bad, ans.value, ends)
+    # orthogonal but with the interval ends on the wrong side
+    flipped = FnTable(ans.dual.domain, {q: -v for q, v in ans.dual.entries.items()})
+    with pytest.raises(VerificationError):
+        oracles._check_approx_dual(flipped, ans.value, ends)
+    # orthogonal to everything, but certifies nothing
+    with pytest.raises(VerificationError):
+        oracles._check_approx_dual(FnTable(ans.dual.domain, {}), ans.value, ends)
+    # a weight on an unbounded interval end
+    open_ends = {**ends, p: (None, None)}
+    with pytest.raises(VerificationError):
+        oracles._check_approx_dual(ans.dual, ans.value, open_ends)
+
+
 def test_discrepancy_1x1():
     ans = discrepancy_2party([[1]])
     assert ans.value == 1
