@@ -370,7 +370,7 @@ def orth(f: FnTable, cap: int | None = None) -> OrthResult:
         cap = default_orth_cap(f.domain)
     if cap < 0:
         raise PreconditionError("cap must be >= 0")
-    den = lcm(*(v.denominator for v in f.entries.values()))
+    den = lcm(*[v.denominator for v in f.entries.values()])
     items = [(p, v.numerator * (den // v.denominator)) for p, v in f.entries.items()]
     bounds = f.domain.bounds
     for d in range(cap + 1):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .brackets import Bracket, pow2_brackets
+from .brackets import inv_sqrt_brackets, pow2_brackets
 from .core import FnTable, box, orth
 from .errors import ConstructionError, PreconditionError
 
@@ -237,10 +237,12 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3), delta=None,
 
     # envelope constants, with per-t dyadic brackets for 2^(c'' t / sqrt(n))
     cpp = F(envelope_exponent)
+    inv_lo, inv_hi = inv_sqrt_brackets(n, 24)
     brackets: list[tuple[int, Fraction, Fraction]] = []
     c_prime: Fraction | None = None
     for t in range(N + 1):
-        lo, hi = _pow2_over_sqrt(cpp * t, n)
+        lo = pow2_brackets(cpp * t * inv_lo)[0]
+        hi = pow2_brackets(cpp * t * inv_hi)[1]
         brackets.append((t, lo, hi))
         a = abs(psi_vals[t])
         cand = min(a * (t + 1) ** 2 * lo, 1 / (a * (t + 1) ** 2 * hi))
@@ -256,14 +258,3 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3), delta=None,
         raise ConstructionError(f"psi failed its own certificate: {cert}")
     return table, cert
 
-
-def _pow2_over_sqrt(numer: Fraction, n: int, bits: int = 24) -> Bracket:
-    """Brackets of 2^(numer / sqrt(n)) for rational numer >= 0."""
-    if numer == 0:
-        return F(1), F(1)
-    from .brackets import inv_sqrt_brackets
-
-    inv_lo, inv_hi = inv_sqrt_brackets(n, bits)
-    lo = pow2_brackets(numer * inv_lo, bits)[0]
-    hi = pow2_brackets(numer * inv_hi, bits)[1]
-    return lo, hi

@@ -1,7 +1,12 @@
 """Exact rational linear programming.
 
 A dense two-phase simplex with Bland's anti-cycling rule, so every solve is
-deterministic across runs and platforms.  The tableau is fraction-free: each
+deterministic across runs and platforms.  LPProblem.add clears each
+constraint's denominators once and stores it as a row (nums, rel, rhs, den):
+the constraint nums . x rel rhs over integers, all divided by one positive
+den.  Entries must be ints or Fractions.
+
+The tableau starts from those rows as they are and stays fraction-free: each
 row is a list of Python ints over one positive row denominator, divided by
 the gcd of the row and its denominator after every update, so a row holds
 its rational values in lowest common terms without a gcd per entry.
@@ -13,11 +18,12 @@ final basis and every returned value are therefore those of the plain
 Fraction tableau; Fractions appear only at the boundary, in the returned
 point, multipliers, ray and objective value.
 
-Every answer carries a certificate that is re-verified in exact Fraction
-arithmetic before it is returned: a feasible point is substituted into all
-constraints, a Farkas witness is checked to combine the constraints into
-the contradiction 0 >= positive, and an unbounded answer's feasible point
-and recession ray are checked to stay feasible while the objective falls.
+Every answer carries a certificate that is re-verified in integer
+arithmetic before it is returned: a feasible point is cleared to integers
+and substituted into all constraints, a Farkas witness is scaled to
+integers and checked to combine the constraints into the contradiction
+0 >= positive, and an unbounded answer's point and recession ray are
+checked to stay feasible while the objective falls.
 
 Constraint relations are "<=", ">=", "==".  Farkas sign convention: the
 multiplier vector y satisfies y_i <= 0 on "<=" rows, y_i >= 0 on ">=" rows,
@@ -30,15 +36,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from operator import mul
 
 from .errors import ArtifactError, PreconditionError, VerificationError
 
 F = Fraction
 
-Row = tuple[Sequence[Fraction], str, Fraction]
+# (nums, rel, rhs, den): the constraint nums . x rel rhs, all over den > 0
+Row = tuple[list[int], str, int, int]
 
 _RELS = ("<=", ">=", "==")
+
+
+def _cleared(values) -> tuple[list[int], int]:
+    """Integer numerators of ints and Fractions over their least common
+    positive denominator."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        raise PreconditionError("LP entries must be ints or Fractions")
+    # unpack a list: a generator would leave odd-sized tuples in CPython's free lists
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass
@@ -53,10 +70,11 @@ class LPProblem:
     def add(self, coeffs, rel: str, rhs) -> None:
         if rel not in _RELS:
             raise PreconditionError(f"unknown relation {rel!r}")
-        coeffs = [F(c) for c in coeffs]
-        if len(coeffs) != self.n_vars:
+        nums, den = _cleared([*coeffs, rhs])
+        if len(nums) != self.n_vars + 1:
             raise PreconditionError("row length mismatch")
-        self.rows.append((coeffs, rel, F(rhs)))
+        rhs = nums.pop()
+        self.rows.append((nums, rel, rhs, den))
 
 
 @dataclass
@@ -71,77 +89,68 @@ class LPCertificate:
     ray: list[Fraction] | None = None
 
 
-def _dot(coeffs, x) -> Fraction:
-    return sum((c * xi for c, xi in zip(coeffs, x) if c), F(0))
-
-
-def _check_point(problem: LPProblem, x) -> None:
-    if x is None or len(x) != problem.n_vars:
-        raise VerificationError("missing primal point")
-    if problem.nonneg:
-        for xi, nn in zip(x, problem.nonneg):
-            if nn and xi < 0:
-                raise VerificationError("negative value for sign-constrained variable")
-    for coeffs, rel, rhs in problem.rows:
-        lhs = _dot(coeffs, x)
-        ok = (lhs <= rhs) if rel == "<=" else (lhs >= rhs) if rel == ">=" else (lhs == rhs)
-        if not ok:
-            raise VerificationError(f"constraint violated: {lhs} {rel} {rhs}")
+def _check_point(problem: LPProblem, v, what: str, ray: bool = False) -> tuple[list[int], int]:
+    """Check a point, or a recession ray, against every row in integers:
+    with v = nums / m, row (a, rel, b, den) needs a . nums rel b * m for a
+    point and a . nums rel 0 for a ray.  Returns (nums, m)."""
+    if v is None or len(v) != problem.n_vars:
+        raise VerificationError(f"missing {what}")
+    nums, m = _cleared(v)
+    if problem.nonneg and any(nn and a < 0 for a, nn in zip(nums, problem.nonneg)):
+        raise VerificationError(f"{what} negative on sign-constrained variable")
+    for coeffs, rel, rhs, _ in problem.rows:
+        lhs, b = sum(map(mul, coeffs, nums)), 0 if ray else rhs * m
+        if not ((lhs <= b) if rel == "<=" else (lhs >= b) if rel == ">=" else (lhs == b)):
+            raise VerificationError(f"{what} violates a constraint: {lhs} {rel} {b}")
+    return nums, m
 
 
 def verify_certificate(problem: LPProblem, cert: LPCertificate) -> None:
-    """Exact re-check; raises VerificationError on any failure."""
+    """Exact re-check in integers; raises VerificationError on any failure."""
     if cert.status in ("feasible", "optimal"):
-        _check_point(problem, cert.x)
+        x, m = _check_point(problem, cert.x, "primal point")
         if cert.status == "optimal" and problem.objective is not None:
-            if _dot(problem.objective, cert.x) != cert.objective_value:
+            if cert.objective_value is None:
+                raise VerificationError("objective value mismatch")
+            *c, v = _cleared([*problem.objective, cert.objective_value])[0]
+            if sum(map(mul, c, x)) != v * m:
                 raise VerificationError("objective value mismatch")
     elif cert.status == "infeasible":
         y = cert.farkas
         if y is None or len(y) != len(problem.rows):
             raise VerificationError("missing farkas multipliers")
-        combo = [F(0)] * problem.n_vars
-        rhs_combo = F(0)
-        for yi, (coeffs, rel, rhs) in zip(y, problem.rows):
-            if rel == "<=" and yi > 0:
+        # in integers: yd * L * y_i * a_i = yn_i * (L / den_i) * nums_i, L = lcm(den_i)
+        yn, _ = _cleared(y)
+        L = lcm(*[den for *_, den in problem.rows])
+        combo = [0] * problem.n_vars
+        rhs_combo = 0
+        for w, (coeffs, rel, rhs, den) in zip(yn, problem.rows):
+            if rel == "<=" and w > 0:
                 raise VerificationError("farkas sign error on <= row")
-            if rel == ">=" and yi < 0:
+            if rel == ">=" and w < 0:
                 raise VerificationError("farkas sign error on >= row")
-            if yi:
-                for j, c in enumerate(coeffs):
-                    if c:
-                        combo[j] += yi * c
-                rhs_combo += yi * rhs
+            if w:
+                k = w * (L // den)
+                combo = [a + k * c for a, c in zip(combo, coeffs)]
+                rhs_combo += k * rhs
         # the combination must dominate: sum y_i a_i x >= sum y_i b_i for all
         # feasible x; with the variable coefficients cancelling on the
         # unconstrained directions, a strict positive rhs is a contradiction
         if problem.nonneg:
-            for j, (cj, nn) in enumerate(zip(combo, problem.nonneg)):
+            for cj, nn in zip(combo, problem.nonneg):
                 if nn:
                     if cj > 0:
                         raise VerificationError("farkas residual positive on nonneg var")
                 elif cj != 0:
                     raise VerificationError("farkas residual on free var")
-        else:
-            if any(c != 0 for c in combo):
-                raise VerificationError("farkas residual on free var")
+        elif any(combo):
+            raise VerificationError("farkas residual on free var")
         if rhs_combo <= 0:
             raise VerificationError("farkas rhs combination not positive")
     elif cert.status == "unbounded":
-        _check_point(problem, cert.x)
-        ray = cert.ray
-        if ray is None or len(ray) != problem.n_vars:
-            raise VerificationError("missing recession ray")
-        if problem.nonneg:
-            for ri, nn in zip(ray, problem.nonneg):
-                if nn and ri < 0:
-                    raise VerificationError("ray negative on sign-constrained variable")
-        for coeffs, rel, _ in problem.rows:
-            v = _dot(coeffs, ray)
-            ok = (v <= 0) if rel == "<=" else (v >= 0) if rel == ">=" else (v == 0)
-            if not ok:
-                raise VerificationError(f"ray leaves the feasible set: {v} {rel} 0")
-        if problem.objective is None or _dot(problem.objective, ray) >= 0:
+        _check_point(problem, cert.x, "primal point")
+        ray, _ = _check_point(problem, cert.ray, "recession ray", ray=True)
+        if problem.objective is None or sum(map(mul, _cleared(problem.objective)[0], ray)) >= 0:
             raise VerificationError("ray does not decrease the objective")
     else:
         raise VerificationError(f"unknown status {cert.status!r}")
@@ -249,7 +258,7 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
             col_of_var.append((ncols, ncols + 1))
             ncols += 2
     slack_col = {}
-    for i, (_, rel, _) in enumerate(problem.rows):
+    for i, (_, rel, _, _) in enumerate(problem.rows):
         if rel != "==":
             slack_col[i] = ncols
             ncols += 1
@@ -257,30 +266,28 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
     art0 = ncols
     ncols += m
 
-    # constraint rows, scaled by the lcm of their denominators and by the
-    # sign sigma_i that makes the right-hand side nonnegative
+    # constraint rows as stored, times the sign sigma_i that makes the
+    # right-hand side nonnegative
     T: list[list[int]] = []
     D: list[int] = []
     sigma = []
-    for i, (coeffs, rel, rhs) in enumerate(problem.rows):
+    for i, (coeffs, rel, rhs, den) in enumerate(problem.rows):
         s = 1 if rhs >= 0 else -1
         sigma.append(s)
-        L = lcm(rhs.denominator, *(c.denominator for c in coeffs))
         row = [0] * (ncols + 1)
         for j, c in enumerate(coeffs):
             if not c:
                 continue
-            v = s * c.numerator * (L // c.denominator)
             cp, cm = col_of_var[j]
-            row[cp] = v
+            row[cp] = s * c
             if cm >= 0:
-                row[cm] = -v
+                row[cm] = -s * c
         if rel != "==":
-            row[slack_col[i]] = s * L if rel == "<=" else -s * L
-        row[art0 + i] = L
-        row[-1] = s * rhs.numerator * (L // rhs.denominator)
+            row[slack_col[i]] = s * den if rel == "<=" else -s * den
+        row[art0 + i] = den
+        row[-1] = s * rhs
         T.append(row)
-        D.append(L)
+        D.append(den)
 
     # phase-1 cost: minimize sum of artificials -> reduced costs
     # -sum_i row_i + sum of the artificial unit costs, over lcm(D)
@@ -328,16 +335,15 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
         return point({basis[i]: F(T[i][-1], D[i]) for i in range(m)})
 
     if objective is not None:
-        dc = lcm(*(c.denominator for c in objective))
+        obj, dc = _cleared(objective)
         cost = [0] * (ncols + 1)
-        for j, c in enumerate(objective):
+        for j, c in enumerate(obj):
             if not c:
                 continue
-            v = c.numerator * (dc // c.denominator)
             cp, cm = col_of_var[j]
-            cost[cp] = v
+            cost[cp] = c
             if cm >= 0:
-                cost[cm] = -v
+                cost[cm] = -c
         for i in range(m):
             f = cost[basis[i]]
             if f:
@@ -366,6 +372,6 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
     if objective is not None:
         cost, dc = T[-1], D[-1]
         duals = [s * F(-cost[art0 + i], dc) for i, s in enumerate(sigma)]
-        return LPCertificate(status="optimal", x=x, objective_value=_dot(objective, x),
+        return LPCertificate(status="optimal", x=x, objective_value=F(-cost[-1], dc),
                              duals=duals)
     return LPCertificate(status="feasible", x=x)

@@ -103,7 +103,7 @@ def _check_margin(primal: dict[Point, Fraction], alphas: list[Point],
                   rows: list[list[int]], gamma: Fraction) -> None:
     """Re-check (gamma/|X|) sum_p s_p q(p) + (1 - gamma) min_p s_p q(p) >= 1
     in integers, over the common denominator of q's coefficients."""
-    den = lcm(*(c.denominator for c in primal.values()))
+    den = lcm(*[c.denominator for c in primal.values()])
     n_pts = len(rows[0])
     sq = [0] * n_pts  # den * s_p * q(p)
     for alpha, row in zip(alphas, rows):
@@ -141,7 +141,7 @@ def _ladder(f: FnTable, gamma: Fraction):
         if cert.status == "infeasible":
             # y = (z, w): s_p z(p) + w <= 0 and r = floor sum_p -s_p z(p) + (1 - gamma) w,
             # so q = -z/r has s_p q(p) >= w/r and 1 = floor sum_p s_p q(p) + (1 - gamma) w/r
-            r = sum((y * rhs for y, (_, _, rhs) in zip(cert.farkas, prob.rows) if y), F(0))
+            r = sum((y * F(b, d) for y, (_, _, b, d) in zip(cert.farkas, prob.rows) if y), F(0))
             primal = {a: -z / r for a, z in zip(alphas, cert.farkas) if z}
             value = level - 1
             if poly_degree(primal) > value:
@@ -351,6 +351,8 @@ def discrepancy_2party(matrix: Sequence[Sequence[int]], limit: int = 16) -> Disc
     enumerating every rectangle, and the rectangle mixture certifies that
     no distribution does better.
     """
+    if not matrix or not matrix[0]:
+        raise PreconditionError("empty matrix")
     rows = len(matrix)
     cols = len(matrix[0])
     if any(len(r) != cols for r in matrix):
@@ -378,10 +380,9 @@ def discrepancy_2party(matrix: Sequence[Sequence[int]], limit: int = 16) -> Disc
     nq = len(columns)
     prob = LPProblem(nq + 1, nonneg=[True] * nq + [False])
     for cell in cells:
-        row = [F(payoff(c, cell)) for c in columns] + [F(-1)]
-        prob.add(row, ">=", 0)
-    prob.add([F(1)] * nq + [F(0)], "==", 1)
-    prob.objective = [F(0)] * nq + [F(-1)]
+        prob.add([payoff(c, cell) for c in columns] + [-1], ">=", 0)
+    prob.add([1] * nq + [0], "==", 1)
+    prob.objective = [0] * nq + [-1]
     cert = solve(prob)
     if cert.status != "optimal":
         raise VerificationError("game LP did not reach an optimum")
@@ -429,6 +430,8 @@ def threshold_density(f: FnTable, cap: int, max_vars: int = 6) -> DensityAnswer:
     tiny exact LP over its coefficient vector.  Returns cap+1 with
     exceeded_cap=True when every family of size <= cap fails.
     """
+    if cap < 0:
+        raise PreconditionError("cap must be nonnegative")
     dom = f.domain
     if not dom.is_hypercube:
         raise PreconditionError("threshold density defined on the hypercube")
@@ -456,7 +459,7 @@ def threshold_density(f: FnTable, cap: int, max_vars: int = 6) -> DensityAnswer:
                 continue  # antipodal pattern pair: no margin possible
             prob = LPProblem(k)
             for pat in sorted(patterns):
-                prob.add([F(c) for c in pat], ">=", 1)
+                prob.add(pat, ">=", 1)
             cert = solve(prob)
             if cert.status == "feasible":
                 return DensityAnswer(value=k, family=family,

@@ -97,6 +97,15 @@ def test_verify_rejects_unknown_status():
         verify_certificate(p, LPCertificate(status="solved", x=[F(1)]))
 
 
+def test_float_entry_rejected():
+    p = LPProblem(1)
+    with pytest.raises(PreconditionError):
+        p.add([0.1], ">=", F(3, 10))
+    with pytest.raises(PreconditionError):
+        p.add([1], ">=", 0.3)
+    assert p.rows == []
+
+
 def test_short_objective_rejected():
     p = LPProblem(2)
     p.add([1, 0], ">=", 0)

@@ -16,10 +16,14 @@ from ptfwitness.lp import LPProblem, solve
 F = Fraction
 
 
+def fraction_rows(p: LPProblem):
+    return [([F(c, den) for c in nums], rel, F(rhs, den)) for nums, rel, rhs, den in p.rows]
+
+
 def to_scipy(p: LPProblem):
     n = p.n_vars
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for coeffs, rel, rhs in p.rows:
+    for coeffs, rel, rhs in fraction_rows(p):
         row = [float(c) for c in coeffs]
         if rel == "<=":
             a_ub.append(row)
@@ -89,7 +93,7 @@ def test_optimum_agrees_with_float_solver(p):
         feas = LPProblem(p.n_vars, rows=p.rows, nonneg=p.nonneg)
         assert linprog(**to_scipy(feas)).status == 0
         cone = LPProblem(p.n_vars, nonneg=p.nonneg, objective=p.objective)
-        for coeffs, rel, _ in p.rows:
+        for coeffs, rel, _ in fraction_rows(p):
             cone.add(coeffs, rel, 0)
         cone.add(p.objective, ">=", -1)
         ray = linprog(**to_scipy(cone))

@@ -1,5 +1,5 @@
 """The integer-row simplex in ptfwitness.lp against the Fraction tableau it
-replaced.
+replaced, and its integer certificate check against the Fraction check.
 
 The reference below is the earlier dense Fraction implementation of
 _pivot, _bland_iterate and _solve_raw, kept verbatim.  Both tableaux run
@@ -8,6 +8,11 @@ must return the same status, point, Farkas multipliers, duals and objective
 value on every input.  The reference returns no point for an unbounded
 problem, so there only the status is compared (solve() checks the new
 point and ray).
+
+The earlier Fraction verify_certificate, _check_point and _dot are kept
+verbatim too: the integer verify_certificate must accept a certificate,
+intact or mutated, exactly when they do.  Both references read the
+(coeffs, rel, rhs) Fraction triples of fraction_view.
 """
 
 from fractions import Fraction
@@ -16,10 +21,15 @@ from hypothesis import given, settings, strategies as st
 
 from ptfwitness import lp, oracles
 from ptfwitness.circuits import mp_table
-from ptfwitness.errors import ArtifactError, PreconditionError
+from ptfwitness.errors import ArtifactError, PreconditionError, VerificationError
 from ptfwitness.lp import LPCertificate, LPProblem
 
 F = Fraction
+
+
+def fraction_view(p: LPProblem) -> LPProblem:
+    return LPProblem(p.n_vars, [([F(c, d) for c in a], rel, F(b, d)) for a, rel, b, d in p.rows],
+                     p.objective, p.nonneg)
 
 
 # ------------------------------------------------------------ reference
@@ -192,10 +202,86 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
     return LPCertificate(status="feasible", x=x)
 
 
+def _dot(coeffs, x) -> Fraction:
+    return sum((c * xi for c, xi in zip(coeffs, x) if c), F(0))
+
+
+def _check_point(problem: LPProblem, x) -> None:
+    if x is None or len(x) != problem.n_vars:
+        raise VerificationError("missing primal point")
+    if problem.nonneg:
+        for xi, nn in zip(x, problem.nonneg):
+            if nn and xi < 0:
+                raise VerificationError("negative value for sign-constrained variable")
+    for coeffs, rel, rhs in problem.rows:
+        lhs = _dot(coeffs, x)
+        ok = (lhs <= rhs) if rel == "<=" else (lhs >= rhs) if rel == ">=" else (lhs == rhs)
+        if not ok:
+            raise VerificationError(f"constraint violated: {lhs} {rel} {rhs}")
+
+
+def verify_certificate(problem: LPProblem, cert: LPCertificate) -> None:
+    """Exact re-check; raises VerificationError on any failure."""
+    if cert.status in ("feasible", "optimal"):
+        _check_point(problem, cert.x)
+        if cert.status == "optimal" and problem.objective is not None:
+            if _dot(problem.objective, cert.x) != cert.objective_value:
+                raise VerificationError("objective value mismatch")
+    elif cert.status == "infeasible":
+        y = cert.farkas
+        if y is None or len(y) != len(problem.rows):
+            raise VerificationError("missing farkas multipliers")
+        combo = [F(0)] * problem.n_vars
+        rhs_combo = F(0)
+        for yi, (coeffs, rel, rhs) in zip(y, problem.rows):
+            if rel == "<=" and yi > 0:
+                raise VerificationError("farkas sign error on <= row")
+            if rel == ">=" and yi < 0:
+                raise VerificationError("farkas sign error on >= row")
+            if yi:
+                for j, c in enumerate(coeffs):
+                    if c:
+                        combo[j] += yi * c
+                rhs_combo += yi * rhs
+        # the combination must dominate: sum y_i a_i x >= sum y_i b_i for all
+        # feasible x; with the variable coefficients cancelling on the
+        # unconstrained directions, a strict positive rhs is a contradiction
+        if problem.nonneg:
+            for j, (cj, nn) in enumerate(zip(combo, problem.nonneg)):
+                if nn:
+                    if cj > 0:
+                        raise VerificationError("farkas residual positive on nonneg var")
+                elif cj != 0:
+                    raise VerificationError("farkas residual on free var")
+        else:
+            if any(c != 0 for c in combo):
+                raise VerificationError("farkas residual on free var")
+        if rhs_combo <= 0:
+            raise VerificationError("farkas rhs combination not positive")
+    elif cert.status == "unbounded":
+        _check_point(problem, cert.x)
+        ray = cert.ray
+        if ray is None or len(ray) != problem.n_vars:
+            raise VerificationError("missing recession ray")
+        if problem.nonneg:
+            for ri, nn in zip(ray, problem.nonneg):
+                if nn and ri < 0:
+                    raise VerificationError("ray negative on sign-constrained variable")
+        for coeffs, rel, _ in problem.rows:
+            v = _dot(coeffs, ray)
+            ok = (v <= 0) if rel == "<=" else (v >= 0) if rel == ">=" else (v == 0)
+            if not ok:
+                raise VerificationError(f"ray leaves the feasible set: {v} {rel} 0")
+        if problem.objective is None or _dot(problem.objective, ray) >= 0:
+            raise VerificationError("ray does not decrease the objective")
+    else:
+        raise VerificationError(f"unknown status {cert.status!r}")
+
+
 # ------------------------------------------------------------ comparison
 
 def assert_same_answer(p: LPProblem) -> LPCertificate:
-    ref = _solve_raw(p)
+    ref = _solve_raw(fraction_view(p))
     new = lp._solve_raw(p)
     lp.verify_certificate(p, new)
     assert new.status == ref.status
@@ -265,6 +351,51 @@ def test_same_answer_on_smooth_ladder(monkeypatch):
     # per-row lcm scaling
     problems = _recorded_problems(
         monkeypatch, lambda: oracles.smooth_threshold_degree(mp_table(2, 3), F(1, 1728)))
-    assert any(rhs.denominator > 1 for p in problems for _, _, rhs in p.rows)
+    assert any(rhs.denominator > 1 for p in problems for _, _, rhs in fraction_view(p).rows)
     for p in problems:
         assert_same_answer(p)
+
+
+def reference_accepts(p: LPProblem, cert: LPCertificate) -> bool:
+    try:
+        verify_certificate(fraction_view(p), cert)
+    except VerificationError:
+        return False
+    return True
+
+
+def integer_accepts(p: LPProblem, cert: LPCertificate) -> bool:
+    try:
+        lp.verify_certificate(p, cert)
+    except VerificationError:
+        return False
+    return True
+
+
+@st.composite
+def certificate_and_mutation(draw):
+    p = draw(rational_lp())
+    cert = lp._solve_raw(p)
+    fields = [name for name in ("x", "farkas", "ray") if getattr(cert, name)]
+    name = draw(st.sampled_from(fields))
+    values = list(getattr(cert, name))
+    k = draw(st.integers(0, len(values) - 1))
+    change = draw(st.sampled_from(["none", "+1/7", "-1/7", "negate", "zero all"]))
+    if change == "negate":
+        values[k] = -values[k]
+    elif change == "zero all":
+        values = [F(0)] * len(values)
+    elif change != "none":
+        values[k] += F(change)
+    setattr(cert, name, values)
+    return p, cert, change
+
+
+@given(certificate_and_mutation())
+@settings(max_examples=400, deadline=None)
+def test_integer_check_accepts_what_fraction_check_accepts(case):
+    p, cert, change = case
+    want = reference_accepts(p, cert)
+    assert integer_accepts(p, cert) == want
+    if change == "none":
+        assert want

@@ -262,6 +262,13 @@ def test_discrepancy_size_guard():
         discrepancy_2party(big)
 
 
+def test_discrepancy_rejects_empty_matrix():
+    with pytest.raises(PreconditionError):
+        discrepancy_2party([])
+    with pytest.raises(PreconditionError):
+        discrepancy_2party([[]])
+
+
 def test_density_constant_and_parity():
     dom = hypercube(2)
     const = bool_table(dom, dom.points())
@@ -274,3 +281,8 @@ def test_density_sentinel():
     # from low masks cannot do it at size 1, but cap=0 forces the sentinel
     ans = threshold_density(parity_table(2), cap=0)
     assert ans.value == 1 and ans.exceeded_cap
+
+
+def test_density_rejects_negative_cap():
+    with pytest.raises(PreconditionError):
+        threshold_density(parity_table(2), cap=-3)
