@@ -199,8 +199,7 @@ def cmd_bounds(args) -> int:
             dom = hypercube(args.n)
             phi = FnTable(dom, {p: F(1) for p in dom.points()})
         res = pattern_spectral_norm(phi, args.N, args.n)
-        print(f"norm^2 = {frac_str(res.norm_sq)}  numeric = {res.numeric!r}  "
-              f"rel_err = {res.rel_err:.2e}")
+        print(f"norm^2 = {frac_str(res.norm_sq)}")
         return 0
     if args.operation == "forster":
         matrix = matrix_from_csv(Path(args.csv).read_text())

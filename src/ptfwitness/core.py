@@ -294,7 +294,8 @@ def eval_monomial(p: Point, alpha: Point) -> int:
 
 
 def monomials(bounds: tuple[int, ...], degree: int) -> Iterator[Point]:
-    """All exponent vectors of total degree `degree` with alpha_i <= bounds_i.
+    """All exponent vectors of total degree `degree` with alpha_i <= bounds_i,
+    in lexicographic order.
 
     Exponents above the per-coordinate bound are omitted: on a box the
     function x_i^k with k > bounds_i agrees with a lower-degree polynomial,
@@ -302,17 +303,29 @@ def monomials(bounds: tuple[int, ...], degree: int) -> Iterator[Point]:
     polynomials of a given degree.
     """
     n = len(bounds)
-
-    def rec(i: int, rem: int):
-        if i == n - 1:
-            if rem <= bounds[i]:
-                yield (rem,)
+    room = [0] * (n + 1)  # room[i] = sum(bounds[i:])
+    for i in range(n - 1, -1, -1):
+        room[i] = room[i + 1] + bounds[i]
+    if not 0 <= degree <= room[0]:
+        return
+    alpha = [0] * n
+    i, rem = 0, degree
+    while True:
+        # the lexicographically least completion of alpha[:i] to total degree
+        for j in range(i, n):
+            alpha[j] = max(0, rem - room[j + 1])
+            rem -= alpha[j]
+        yield tuple(alpha)
+        # the rightmost exponent that can grow by one, taking it from its suffix
+        i = n - 1
+        while i >= 0 and (alpha[i] == bounds[i] or rem == 0):
+            rem += alpha[i]
+            i -= 1
+        if i < 0:
             return
-        for a in range(0, min(rem, bounds[i]) + 1):
-            for rest in rec(i + 1, rem - a):
-                yield (a,) + rest
-
-    yield from rec(0, degree)
+        alpha[i] += 1
+        rem -= 1
+        i += 1
 
 
 @dataclass(frozen=True)
@@ -429,19 +442,6 @@ def fourier(f: FnTable) -> dict[frozenset[int], Fraction]:
             acc += v * chi(S, p)
         out[S] = acc * scale
     return out
-
-
-def from_fourier(coeffs: Mapping[frozenset[int], Fraction], n: int) -> FnTable:
-    dom = hypercube(n)
-    out = {}
-    for p in dom.points():
-        acc = Fraction(0)
-        for S, c in coeffs.items():
-            if c:
-                acc += c * chi(S, p)
-        if acc != 0:
-            out[p] = acc
-    return FnTable(dom, out, _trusted=True)
 
 
 def symmetrize(f: FnTable, blocks: tuple[tuple[int, ...], ...]) -> FnTable:

@@ -82,31 +82,6 @@ def omega_values(spec: OmegaSpec) -> dict[int, Fraction]:
     return out
 
 
-def omega_binomial_form(spec: OmegaSpec) -> dict[int, Fraction]:
-    """The equivalent binomial-weighted product formula; used as an
-    independent cross-check of omega_values."""
-    if spec.fallback:
-        raise PreconditionError("binomial form only defined above the fallback regime")
-    n, S = spec.n, set(spec.support)
-    out = {}
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    from math import comb
-
-    for t in range(n + 1):
-        if t not in S:
-            continue
-        prod = 1
-        for i in range(n + 1):
-            if i not in S:
-                prod *= t - i
-        val = F((-1) ** (n + t + len(S) + 1) * comb(n, t) * prod, fact)
-        if val:
-            out[t] = val
-    return out
-
-
 def build_omega(n: int, eps) -> tuple[FnTable, OmegaCertificate]:
     spec = _omega_spec(n, F(eps))
     vals = omega_values(spec)

@@ -1,4 +1,5 @@
-"""Exact rational linear algebra: elimination, solving, rank, determinant."""
+"""Exact rational linear algebra: elimination, solving, rank, determinant,
+and a fraction-free positive-definiteness test for integer matrices."""
 
 from __future__ import annotations
 
@@ -105,3 +106,30 @@ def solve_consistent(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
                 s -= m[r][j] * x[j]
         x[c] = s / m[r][c]
     return x
+
+
+def positive_definite(m: list[list[int]]) -> bool:
+    """True iff the symmetric integer matrix m is positive definite.
+
+    Fraction-free (Bareiss) elimination without row exchanges: after step
+    k the pivot is the leading principal minor of order k + 1, and every
+    division is exact.  By Sylvester's criterion m is positive definite
+    exactly when all these pivots are positive, so the elimination stops
+    at the first one that is not.  The trailing block stays symmetric, so
+    only its upper triangle is updated.
+    """
+    a = [row[:] for row in m]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        row_k = a[k]
+        pivot = row_k[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = row_k[i]  # a[i][k], by symmetry
+            row_i = a[i]
+            for j in range(i, n):
+                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
+        prev = pivot
+    return True

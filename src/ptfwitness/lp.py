@@ -60,10 +60,11 @@ def _cleared(values) -> tuple[list[int], int]:
 
 @dataclass
 class LPProblem:
-    """min objective . x subject to the rows; objective None = feasibility."""
+    """min objective . x subject to the rows; objective None = feasibility.
+    Rows come in only through add."""
 
     n_vars: int
-    rows: list[Row] = field(default_factory=list)
+    rows: list[Row] = field(default_factory=list, init=False)
     objective: list[Fraction] | None = None
     nonneg: list[bool] | None = None  # per-variable; None = all free
 

@@ -1,10 +1,12 @@
 """Pattern matrices, the closed-form spectral norm, the Forster-type
 sign-rank lower bound, and the closed-form communication quantities.
 
-Exact values are kept as rationals (norms are compared through their
-squares); floating point appears only in cross-checks, guarded by explicit
-tolerances, with the spectral norms computed by LAPACK's deterministic
-bidiagonalization-based SVD.
+Every bound here is decided in rational arithmetic.  The pattern-matrix
+norm is the closed form, checked on every call against the exact
+Walsh-Hadamard spectrum of A A^T computed in integers.  The Forster bound
+rests on a rational lambda >= ||A||^2, certified by an exact
+positive-definiteness test of lambda I - G for the smaller Gram matrix G.
+Floats appear only in the closed-form evaluators of disc_pp_upp_formulas.
 """
 
 from __future__ import annotations
@@ -13,25 +15,27 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-import numpy as np
-
-from .core import FnTable, fourier, hypercube
+from .brackets import sqrt_brackets, sqrt_lower
+from .core import FnTable, fourier
 from .errors import PreconditionError, VerificationError
-from .linalg import matrix_rank
-from .oracles import DegreeAnswer, sign_table
+from .linalg import matrix_rank, positive_definite
+from .oracles import DegreeAnswer
 
 F = Fraction
 
-SPECTRAL_REL_TOL = 1e-9
-SVD_ABS_TOL = 1e-12
+# largest pattern matrix (rows * cols) whose spectrum is checked
+MAX_PATTERN_ENTRIES = 1 << 22
+# forster_bound's lambda is within a factor 1 + 2^-FORSTER_BITS of ||A||^2
+FORSTER_BITS = 32
 
 
 @dataclass(frozen=True)
 class PatternMatrix:
-    """The (N, n, phi)-pattern matrix: rows indexed by strings of length N,
-    columns by (one position per block, shift mask) pairs, entries
-    phi(selected bits xor mask)."""
+    """The (N, n, phi)-pattern matrix: rows indexed by strings x of length
+    N, columns by (one position per block V, shift mask w) pairs, entries
+    phi(x_V xor w)."""
 
     N: int
     n: int
@@ -48,48 +52,52 @@ class PatternMatrix:
         b = self.N // self.n
         return 2 ** self.N, b ** self.n * 2 ** self.n
 
-    def columns(self):
-        b = self.N // self.n
-        positions = [range(i * b, (i + 1) * b) for i in range(self.n)]
-        for V in itertools.product(*positions):
-            for w in hypercube(self.n).points():
-                yield V, w
-
-    def materialize(self, limit: int = 1 << 22) -> np.ndarray:
-        rows, cols = self.shape
-        if rows * cols > limit:
-            raise PreconditionError(f"pattern matrix of size {rows}x{cols} too large")
-        cols_list = list(self.columns())
-        out = np.empty((rows, cols), dtype=float)
-        for x_idx, x in enumerate(hypercube(self.N).points()):
-            for c_idx, (V, w) in enumerate(cols_list):
-                entry = self.phi(tuple(x[v] ^ wi for v, wi in zip(V, w)))
-                out[x_idx, c_idx] = float(entry)
-        return out
-
 
 @dataclass
 class SpectralResult:
     norm_sq: Fraction  # exact square of the spectral norm
     argmax: frozenset[int]
-    numeric: float | None
-    rel_err: float | None
-
-    @property
-    def norm_float(self) -> float:
-        return math.sqrt(float(self.norm_sq))
 
 
-def pattern_spectral_norm(phi: FnTable, N: int, n: int,
-                          cross_check: bool = True) -> SpectralResult:
+def _pattern_spectrum_max(phi: FnTable, N: int, n: int) -> Fraction:
+    """Largest eigenvalue of A A^T for the (N, n, phi)-pattern matrix A.
+
+    (A A^T)[x, x'] = k(x xor x') for the kernel row k(z) = <A[0], A[z]>, so
+    the eigenvalues are the Walsh-Hadamard transform of k.  With phi scaled
+    to integers g = den * phi and c(y) = sum_w g(w) g(w xor y), the row
+    den^2 k(z) = sum_V c(z_V) and its transform are integers.
+    """
+    b = N // n
+    den = math.lcm(*[v.denominator for v in phi.entries.values()])
+    g = [0] * (1 << n)
+    for p, v in phi.entries.items():
+        g[sum(bit << i for i, bit in enumerate(p))] = v.numerator * (den // v.denominator)
+    corr = [sum(g[w] * g[w ^ y] for w in range(1 << n)) for y in range(1 << n)]
+    selections = list(itertools.product(*(range(i * b, (i + 1) * b) for i in range(n))))
+    spec = [sum(corr[sum(((z >> v) & 1) << i for i, v in enumerate(V))] for V in selections)
+            for z in range(1 << N)]
+    h = 1
+    while h < len(spec):
+        for start in range(0, len(spec), 2 * h):
+            for j in range(start, start + h):
+                spec[j], spec[j + h] = spec[j] + spec[j + h], spec[j] - spec[j + h]
+        h *= 2
+    return F(max(spec), den * den)
+
+
+def pattern_spectral_norm(phi: FnTable, N: int, n: int) -> SpectralResult:
     """Spectral norm of the (N, n, phi)-pattern matrix.
 
     The square of the norm is the exact rational
     2^(N+n) (N/n)^n  max_S  phi_hat(S)^2 (n/N)^|S|,
-    optionally cross-checked against the numeric norm of the materialized
-    matrix to relative tolerance 1e-9.
+    checked for exact equality with the largest eigenvalue of A A^T from
+    _pattern_spectrum_max.  Matrices with more than MAX_PATTERN_ENTRIES
+    entries are refused.
     """
     pm = PatternMatrix(N, n, phi)
+    rows, cols = pm.shape
+    if rows * cols > MAX_PATTERN_ENTRIES:
+        raise PreconditionError(f"pattern matrix of size {rows}x{cols} too large")
     coeffs = fourier(phi)
     b = F(N, n)
     best = None
@@ -99,43 +107,58 @@ def pattern_spectral_norm(phi: FnTable, N: int, n: int,
         if best is None or val > best:
             best, best_S = val, S
     norm_sq = F(2 ** (N + n)) * b ** n * best
-    numeric = rel = None
-    if cross_check:
-        mat = pm.materialize()
-        numeric = float(np.linalg.norm(mat, 2))
-        exact = math.sqrt(float(norm_sq))
-        scale = max(abs(exact), abs(numeric), SVD_ABS_TOL)
-        rel = abs(exact - numeric) / scale
-        if rel > SPECTRAL_REL_TOL:
-            raise VerificationError(
-                f"spectral norm mismatch: formula {exact} vs numeric {numeric}")
-    return SpectralResult(norm_sq=norm_sq, argmax=best_S, numeric=numeric, rel_err=rel)
+    spectrum_max = _pattern_spectrum_max(phi, N, n)
+    if spectrum_max != norm_sq:
+        raise VerificationError(
+            f"spectral norm mismatch: closed form {norm_sq} vs spectrum {spectrum_max}")
+    return SpectralResult(norm_sq=norm_sq, argmax=best_S)
 
 
-@dataclass
-class SignRankBound:
-    lower: Fraction | None
-    upper: int | None
-    method: str
-
-    def __post_init__(self):
-        if self.lower is not None and self.upper is not None \
-                and self.lower > self.upper:
-            raise VerificationError("lower bound exceeds exhibited rank")
+@dataclass(frozen=True)
+class ForsterBound:
+    lower: Fraction          # sign-rank >= lower
+    norm_sq_upper: Fraction  # lambda >= ||A||^2, certified
 
 
-def forster_bound(matrix, guard: float = 1e-9) -> SignRankBound:
-    """sqrt(|X||Y|) / ||A|| times the least entry magnitude, with the
-    numeric spectral norm inflated by the guard so the bound stays valid."""
-    a = np.array([[float(v) for v in row] for row in matrix], dtype=float)
-    if a.size == 0 or np.any(a == 0.0):
-        raise PreconditionError("matrix must be nonempty with no zero entries")
-    rows, cols = a.shape
-    sigma = float(np.linalg.norm(a, 2))
-    sigma_hi = sigma * (1 + guard) + SVD_ABS_TOL
-    min_entry = float(np.min(np.abs(a)))
-    lower_float = math.sqrt(rows * cols) / sigma_hi * min_entry
-    return SignRankBound(lower=F(lower_float), upper=None, method="forster")
+def forster_bound(matrix) -> ForsterBound:
+    """sqrt(|X||Y|) / ||A|| times the least entry magnitude, certified.
+
+    A rational lambda >= ||A||^2 is certified by positive definiteness of
+    lambda I - G, G the smaller Gram matrix of A, tested exactly.  It is
+    found by bisection on that test from the bracket
+    [max_i G_ii, trace G + 1] (G_ii <= ||A||^2 <= trace G), stopping when
+    hi - lo <= lo / 2^FORSTER_BITS.  The bound is
+    sqrt_lower(|X||Y| / lambda) * min |a|.  Entries must be nonzero ints or
+    Fractions.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if cols == 0 or any(len(row) != cols for row in matrix):
+        raise PreconditionError("matrix must be nonempty and rectangular")
+    entries = [v for row in matrix for v in row]
+    if not all(isinstance(v, (int, Fraction)) and v != 0 for v in entries):
+        raise PreconditionError("entries must be nonzero ints or Fractions")
+    den = math.lcm(*[v.denominator for v in entries])
+    a = [[v.numerator * (den // v.denominator) for v in row] for row in matrix]
+    if rows > cols:
+        a = [list(col) for col in zip(*a)]
+    gram = [[sum(map(mul, r, s)) for s in a] for r in a]  # den^2 G
+    diag = [gram[i][i] for i in range(len(gram))]
+    # lo I - G has a zero on its diagonal, so it is never positive definite;
+    # hi I - G always is, at the start because trace G >= ||A||^2
+    lo, hi = F(max(diag)), F(sum(diag) + den * den)
+    while hi - lo > lo / 2 ** FORSTER_BITS:
+        mid = (lo + hi) / 2
+        p, q = mid.numerator, mid.denominator
+        shifted = [[(p if i == j else 0) - q * g for j, g in enumerate(row)]
+                   for i, row in enumerate(gram)]
+        if positive_definite(shifted):
+            hi = mid
+        else:
+            lo = mid
+    norm_sq = hi / (den * den)
+    lower = sqrt_lower(F(rows * cols) / norm_sq) * min(abs(v) for v in entries)
+    return ForsterBound(lower=lower, norm_sq_upper=norm_sq)
 
 
 def signrank_le_1(matrix) -> bool:
@@ -192,54 +215,26 @@ class PatternSignRank:
     T: int
     bound_lower: Fraction    # a certified lower bracket of gamma T^(d/2)
     bound_is_exact: bool
-    rederived: float | None  # numeric bound from the materialized pipeline
 
 
-def signrank_lb_pattern(f: FnTable, answer: DegreeAnswer, T: int,
-                        rederive: bool = False) -> PatternSignRank:
+def signrank_lb_pattern(f: FnTable, answer: DegreeAnswer, T: int) -> PatternSignRank:
     """Sign-rank lower bound gamma * T^(d/2) for the pattern matrix built
-    from f, justified by a certified min-smooth witness of level d.
-
-    Optionally re-derives the bound numerically at small sizes by
-    materializing the witness pattern matrix and running the spectral
-    pipeline on it.
-    """
+    from f, justified by a certified min-smooth witness of level d for f."""
     if answer.gamma is None or answer.dual is None:
         raise PreconditionError("need a certified min-smooth witness")
+    if answer.dual.domain != f.domain:
+        raise PreconditionError("the witness lives on another domain than f")
     gamma, d = answer.gamma, answer.value
     if d < 0 or gamma <= 0:
         raise PreconditionError("bound needs a certified level and positive gamma")
     if T < 1:
         raise PreconditionError("need T >= 1")
-    if d == 0:
-        return PatternSignRank(gamma=gamma, d=0, T=T, bound_lower=gamma,
-                               bound_is_exact=True, rederived=None)
     if d % 2 == 0:
-        bound = gamma * F(T) ** (d // 2)
-        exact = True
-    else:
-        from .brackets import sqrt_brackets
-
-        lo, _ = sqrt_brackets(F(T) ** d)
-        bound = gamma * lo
-        exact = False
-    rederived = None
-    if rederive:
-        n = f.domain.n
-        mu = answer.dual
-        phi = mu.hadamard(sign_table(f))
-        coeffs = fourier(phi)
-        for S, c in coeffs.items():
-            if len(S) < d and c != 0:
-                raise VerificationError("witness is not orthogonal at its level")
-        res = pattern_spectral_norm(phi, T * n, n)
-        rows, cols = PatternMatrix(T * n, n, phi).shape
-        min_entry = min(mu(p) for p in f.domain.points())
-        rederived = math.sqrt(rows * cols) / res.norm_float * float(min_entry)
-        if rederived < float(bound) * (1 - 1e-9):
-            raise VerificationError("pipeline re-derivation fell below the bound")
-    return PatternSignRank(gamma=gamma, d=d, T=T, bound_lower=bound,
-                           bound_is_exact=exact, rederived=rederived)
+        return PatternSignRank(gamma=gamma, d=d, T=T, bound_lower=gamma * F(T) ** (d // 2),
+                               bound_is_exact=True)
+    lo, _ = sqrt_brackets(F(T) ** d)
+    return PatternSignRank(gamma=gamma, d=d, T=T, bound_lower=gamma * lo,
+                           bound_is_exact=False)
 
 
 @dataclass

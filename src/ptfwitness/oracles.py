@@ -14,7 +14,7 @@ artifacts are re-checked before being returned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence
@@ -48,11 +48,6 @@ def sign_table(f: FnTable) -> FnTable:
     return FnTable(f.domain, out, _trusted=True)
 
 
-def negate_output(f: FnTable) -> FnTable:
-    out = {p: F(1) for p in f.domain.points() if f(p) == 0}
-    return FnTable(f.domain, out, _trusted=True)
-
-
 def negate_inputs(f: FnTable) -> FnTable:
     if not f.domain.is_hypercube:
         raise PreconditionError("input negation defined on the hypercube")
@@ -69,7 +64,6 @@ class DegreeAnswer:
     primal: dict[Point, Fraction] | None
     dual: FnTable | None
     gamma: Fraction | None = None
-    detail: dict = field(default_factory=dict)
 
 
 def _monomial_table(domain: Domain, points: list[Point]
@@ -232,11 +226,6 @@ THRESHOLD_INTERVALS = (Interval.greater_than(0), Interval.less_than(0), Interval
 def approx_intervals(eps) -> tuple[Interval, Interval, Interval]:
     e = F(eps)
     return (Interval.closed(-e, e), Interval.closed(1 - e, 1 + e), Interval.closed(-e, 1 + e))
-
-
-def one_sided_intervals(eps) -> tuple[Interval, Interval, Interval]:
-    e = F(eps)
-    return (Interval.closed(-e, e), Interval(F(1) - e, None), Interval.everything())
 
 
 @dataclass

@@ -99,12 +99,6 @@ def mixture_to_json(m: ProductMixture) -> dict:
             "terms": [[frac_str(c), list(labels)] for c, labels in m.terms]}
 
 
-def mixture_from_json(data: dict) -> ProductMixture:
-    factors = {lab: table_from_json(t) for lab, t in data["factors"].items()}
-    terms = [(parse_frac(c), tuple(labels)) for c, labels in data["terms"]]
-    return ProductMixture(factors, terms)
-
-
 def circuit_to_json(c: CircuitDesc) -> dict:
     return {"schema": f"circuit/{SCHEMA_VERSION}",
             "n_inputs": c.n_inputs,

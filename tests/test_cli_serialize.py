@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from ptfwitness.circuits import mp
 from ptfwitness.cli import main
@@ -10,7 +13,7 @@ from ptfwitness.serialize import (
     circuit_from_json,
     dumps,
     matrix_from_csv,
-    mixture_from_json,
+    parse_frac,
     table_from_json,
 )
 
@@ -27,6 +30,13 @@ def test_rationals_never_floats():
     t = FnTable(box([2]), {(1,): F(1, 3)})
     text = dumps(t)
     assert "0.3" not in text and "1/3" in text
+
+
+def mixture_from_json(data):
+    """Test-side reference: the inverse of serialize.mixture_to_json."""
+    factors = {lab: table_from_json(t) for lab, t in data["factors"].items()}
+    terms = [(parse_frac(c), tuple(labels)) for c, labels in data["terms"]]
+    return ProductMixture(factors, terms)
 
 
 def test_mixture_roundtrip():
@@ -119,6 +129,15 @@ def test_cli_bounds_formulas(capsys):
     assert "disc_bound_value" in capsys.readouterr().out
 
 
+def test_cli_bounds_pattern_and_forster(tmp_path, capsys):
+    assert main(["bounds", "pattern", "--N", "4", "--n", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "norm^2 = 256/1"
+    csv = tmp_path / "stair.csv"
+    csv.write_text("1,1,1,1\n-1,1,1,1\n-1,-1,1,1\n-1,-1,-1,1\n")
+    assert main(["bounds", "forster", "--csv", str(csv)]) == 0
+    assert capsys.readouterr().out.startswith("sign-rank >= 1.530733")
+
+
 def test_cli_amplify(tmp_path, capsys):
     code = main(["amplify", "--f", "x1", "--n", "1", "--m", "1", "--theta", "2",
                  "--out", str(tmp_path / "amp")])
@@ -132,3 +151,17 @@ def test_cli_circuits_dot(tmp_path, capsys):
                  "--dot", str(dot)])
     assert code == 0
     assert "digraph" in dot.read_text()
+
+
+def test_library_imports_without_numpy():
+    # every module, the CLI and the acceptance suite included, in a fresh interpreter
+    import ptfwitness
+
+    src = str(Path(ptfwitness.__file__).resolve().parent.parent)
+    code = ("import importlib, pkgutil, sys, ptfwitness\n"
+            "for m in pkgutil.iter_modules(ptfwitness.__path__):\n"
+            "    importlib.import_module('ptfwitness.' + m.name)\n"
+            "assert 'ptfwitness.cli' in sys.modules and 'ptfwitness.acceptance' in sys.modules\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

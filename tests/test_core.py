@@ -1,3 +1,5 @@
+import gc
+import random
 from fractions import Fraction
 from math import comb
 
@@ -13,7 +15,6 @@ from ptfwitness.core import (
     default_orth_cap,
     eval_monomial,
     fourier,
-    from_fourier,
     hypercube,
     inner_product,
     least_poly_degree,
@@ -204,6 +205,20 @@ def test_orth_power_difference(f, g, n):
         assert orth(diff).ge(d.value)
 
 
+def from_fourier(coeffs, n):
+    """Test-side reference: the table with the given character coefficients."""
+    dom = hypercube(n)
+    out = {}
+    for p in dom.points():
+        acc = Fraction(0)
+        for S, c in coeffs.items():
+            if c:
+                acc += c * chi(S, p)
+        if acc != 0:
+            out[p] = acc
+    return FnTable(dom, out)
+
+
 @given(small_tables)
 @settings(max_examples=40, deadline=None)
 def test_fourier_roundtrip(f):
@@ -242,6 +257,42 @@ def test_monomial_caps():
     assert list(monomials((1, 1), 2)) == [(1, 1)]
     assert list(monomials((2,), 2)) == [(2,)]
     assert list(monomials((1,), 2)) == []
+
+
+def recursive_monomials(bounds, degree):
+    """Test-side reference: the earlier recursive enumeration."""
+    n = len(bounds)
+
+    def rec(i, rem):
+        if i == n - 1:
+            if rem <= bounds[i]:
+                yield (rem,)
+            return
+        for a in range(0, min(rem, bounds[i]) + 1):
+            for rest in rec(i + 1, rem - a):
+                yield (a,) + rest
+
+    yield from rec(0, degree)
+
+
+def test_monomials_match_recursive_reference():
+    rng = random.Random(296)
+    for _ in range(500):
+        bounds = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 6)))
+        degree = rng.randint(0, sum(bounds) + 2)
+        assert list(monomials(bounds, degree)) == list(recursive_monomials(bounds, degree))
+
+
+def test_monomials_leave_no_garbage_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        for degree in range(10):
+            for _ in monomials((2, 3, 1, 4), degree):
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_least_poly_degree_univariate():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,7 +10,6 @@ from ptfwitness.dual_or import (
     build_psi,
     default_delta,
     default_weights,
-    omega_binomial_form,
     omega_values,
 )
 from ptfwitness.errors import ConstructionError
@@ -33,6 +33,27 @@ def test_omega_n20_layout():
     assert cert.orth_value >= 3
     one = FnTable(box([20]), {(t,): F(1) for t in range(21)})
     assert inner_product(table, one) == 0
+
+
+def omega_binomial_form(spec):
+    """Test-side reference: the equivalent binomial-weighted product formula
+    for omega_values above the fallback regime."""
+    n, S = spec.n, set(spec.support)
+    out = {}
+    fact = 1
+    for k in range(2, n + 1):
+        fact *= k
+    for t in range(n + 1):
+        if t not in S:
+            continue
+        prod = 1
+        for i in range(n + 1):
+            if i not in S:
+                prod *= t - i
+        val = F((-1) ** (n + t + len(S) + 1) * comb(n, t) * prod, fact)
+        if val:
+            out[t] = val
+    return out
 
 
 def test_omega_closed_form_matches_binomial_formula():

@@ -106,6 +106,11 @@ def test_float_entry_rejected():
     assert p.rows == []
 
 
+def test_rows_only_through_add():
+    with pytest.raises(TypeError):
+        LPProblem(1, rows=[([F(1)], ">=", F(1))])
+
+
 def test_short_objective_rejected():
     p = LPProblem(2)
     p.add([1, 0], ">=", 0)

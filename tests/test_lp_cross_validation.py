@@ -90,7 +90,8 @@ def test_optimum_agrees_with_float_solver(p):
         # end as status 4), so confirm it by two bounded float programs: the
         # constraints are feasible, and some recession direction r lowers
         # the objective, min c.r subject to the homogeneous rows and c.r >= -1
-        feas = LPProblem(p.n_vars, rows=p.rows, nonneg=p.nonneg)
+        feas = LPProblem(p.n_vars, nonneg=p.nonneg)
+        feas.rows[:] = p.rows
         assert linprog(**to_scipy(feas)).status == 0
         cone = LPProblem(p.n_vars, nonneg=p.nonneg, objective=p.objective)
         for coeffs, rel, _ in fraction_rows(p):

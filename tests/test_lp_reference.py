@@ -28,8 +28,9 @@ F = Fraction
 
 
 def fraction_view(p: LPProblem) -> LPProblem:
-    return LPProblem(p.n_vars, [([F(c, d) for c in a], rel, F(b, d)) for a, rel, b, d in p.rows],
-                     p.objective, p.nonneg)
+    view = LPProblem(p.n_vars, p.objective, p.nonneg)
+    view.rows[:] = [([F(c, d) for c in a], rel, F(b, d)) for a, rel, b, d in p.rows]
+    return view
 
 
 # ------------------------------------------------------------ reference

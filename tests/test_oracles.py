@@ -17,7 +17,6 @@ from ptfwitness.oracles import (
     eval_poly,
     iii_approx_degree,
     negate_inputs,
-    negate_output,
     or_table,
     parity_table,
     sign_table,
@@ -28,6 +27,18 @@ from ptfwitness.oracles import (
 )
 
 F = Fraction
+
+
+def negate_output(f):
+    """Test-side reference: the Boolean complement of a 0/1 table."""
+    out = {p: F(1) for p in f.domain.points() if f(p) == 0}
+    return FnTable(f.domain, out)
+
+
+def one_sided_intervals(eps):
+    """Test-side reference: the one-sided approximation bands."""
+    e = F(eps)
+    return (Interval.closed(-e, e), Interval(F(1) - e, None), Interval.everything())
 
 
 def check_answer(f, ans: DegreeAnswer):
@@ -85,8 +96,6 @@ def test_negation_invariance_smooth_and_iii():
 
 
 def test_one_sided_specialization():
-    from ptfwitness.oracles import one_sided_intervals
-
     f = total_fn(or_table(2))
     one_sided = iii_approx_degree(f, *one_sided_intervals(F(1, 3)), margin=F(0))
     two_sided = iii_approx_degree(f, *approx_intervals(F(1, 3)), margin=F(0))
@@ -202,7 +211,7 @@ def test_iii_dual_rechecked(monkeypatch):
     pts = list(dom.points())
     for _ in range(6):
         f = total_fn(bool_table(dom, [p for p in pts if rng.random() < 0.5]))
-        for spec in (approx_intervals(F(1, 3)), oracles.one_sided_intervals(F(1, 4))):
+        for spec in (approx_intervals(F(1, 3)), one_sided_intervals(F(1, 4))):
             ans = iii_approx_degree(f, *spec, margin=F(0))
             if ans.value == 0:
                 assert ans.dual is None
