@@ -6,8 +6,9 @@ build_g / build_G     the input compression maps: a balanced encoding of
                       blockwise sum onto weight-capped integer vectors
 booleanize            weight-reduced product witnesses indexed by a Boolean
                       string, with the certified degree-drop property
-compose_mp_star       truth tables of f composed with the symmetric
-                      Minsky-Papert function on a weight-capped domain
+compose_table         truth tables of f composed blockwise with the
+                      symmetric Minsky-Papert function on {0..R}^m,
+                      optionally weight-capped
 min_smooth_amplify    the four-stage pipeline that turns a min-smooth dual
                       witness for f into one for the composition
 amplify_circuit_once  the explicit AND-OR-AND circuit realization of one
@@ -79,7 +80,6 @@ class CompressionCertificate:
     moments_ok: bool
     code_distance: int
     moments_exhaustive: bool = False
-    search_based: bool = False  # deterministic code construction, not search
 
 
 def build_g(n: int) -> tuple[GMap, CompressionCertificate]:
@@ -220,7 +220,7 @@ def booleanize_preconditions(n: int, m: int, r: int, d: int, theta: int,
     their adverse bracket sides."""
     if theta < 2 * d:
         return False
-    e_lo, e_hi = e_brackets()
+    _, e_hi = e_brackets()
     _, log_hi = one_plus_ln_brackets(n * m)
     if F(theta) * c1 ** 2 < 4 * e_hi * n * m * log_hi:
         return False
@@ -241,6 +241,8 @@ def booleanize(z: Point, m: int, r: int, d: int, theta: int,
     the support below 2 theta + nm without moving any low-degree moment.
     """
     n = len(z)
+    if n == 0:
+        raise PreconditionError("z is empty")
     if witnesses is None:
         witnesses = build_mp_witness(m, r)
     mix0, mix1, wit_cert = witnesses
@@ -282,6 +284,8 @@ def booleanize(z: Point, m: int, r: int, d: int, theta: int,
 def multilinear_coeffs(values: dict[Point, Fraction]) -> dict[frozenset[int], Fraction]:
     """Exact multilinear interpolation over the hypercube by inclusion
     and exclusion over subcubes."""
+    if not values:
+        raise PreconditionError("no values to interpolate")
     n = len(next(iter(values)))
     coeffs: dict[frozenset[int], Fraction] = {}
     for S in itertools.chain.from_iterable(
@@ -317,27 +321,11 @@ def z_degree_of_expectations(tables: dict[Point, FnTable],
 # ------------------------------------------------------------- composition
 
 
-def compose_mp_star(f: FnTable, m: int, theta: int) -> FnTable:
-    """Truth table of f composed blockwise with the symmetric Minsky-Papert
-    function (r = m^2), restricted to inputs of weight at most theta."""
-    if not f.domain.is_hypercube:
-        raise PreconditionError("outer function must live on a hypercube")
-    n = f.domain.n
-    r = m * m
-    dom = weight_slice(box([r] * (n * m)), 0, theta)
-    ones = []
-    for p in dom.points():
-        zvec = tuple(int(all(v >= 1 for v in p[i * m:(i + 1) * m])) for i in range(n))
-        if f(zvec) == 1:
-            ones.append(p)
-    from .oracles import bool_table
-
-    return bool_table(dom, ones)
-
-
 def compose_table(f: FnTable, m: int, R: int, theta: int | None = None) -> FnTable:
     """f composed with the symmetric Minsky-Papert function on {0..R}^m per
     block, optionally weight-capped."""
+    if not f.domain.is_hypercube:
+        raise PreconditionError("outer function must live on a hypercube")
     n = f.domain.n
     base = box([R] * (n * m))
     dom = base if theta is None else weight_slice(base, 0, theta)
@@ -372,15 +360,15 @@ class AmplifyCertificate:
 
 
 def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
-                       theta: int, gamma, d: int,
-                       lam_star: FnTable | None = None
+                       theta: int, gamma, d: int
                        ) -> tuple[FnTable, AmplifyCertificate]:
     """Turn a min-smooth dual witness for f into one for the composition of
     f with the symmetric Minsky-Papert function.
 
     Stages: build the locally smooth witness pair, restrict the supports to
-    the weight cap, redistribute into global min-smoothness, then mix with
-    the outer witness.  Every stage aborts with its name if a precondition
+    the weight cap, redistribute into global min-smoothness relative to the
+    uniform distribution on the cap region, then mix with the outer
+    witness.  Every stage aborts with its name if a precondition
     or an exact check fails.
     """
     gamma = F(gamma)
@@ -457,8 +445,7 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
     if k_phi is None:
         raise ConstructionError("stage phi: lost local smoothness")
 
-    if lam_star is None:
-        lam_star = FnTable(big, {p: F(1, len(region)) for p in region}, _trusted=True)
+    lam_star = FnTable(big, {p: F(1, len(region)) for p in region}, _trusted=True)
     try:
         phi_star, rd_cert = redistribute(phi, lam_star, d, theta)
     except (PreconditionError, ConstructionError) as exc:

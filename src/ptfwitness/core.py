@@ -136,6 +136,16 @@ def weight_slice(base: Domain, lo: int, hi: int) -> Domain:
     return Domain(base.bounds, base.offset, (lo, hi))
 
 
+def add_scaled(acc: dict[Point, Fraction], c, entries: Mapping[Point, Fraction]) -> None:
+    """acc += c * entries, in place, dropping every point that cancels to zero."""
+    for p, v in entries.items():
+        w = acc.get(p, Fraction(0)) + c * v
+        if w == 0:
+            acc.pop(p, None)
+        else:
+            acc[p] = w
+
+
 class FnTable:
     """A finitely supported map from domain points to exact rationals.
 
@@ -216,12 +226,7 @@ class FnTable:
         if self.domain.n != other.domain.n:
             raise PreconditionError("dimension mismatch")
         out = dict(self.entries)
-        for p, v in other.entries.items():
-            w = out.get(p, Fraction(0)) + sign * v
-            if w == 0:
-                out.pop(p, None)
-            else:
-                out[p] = w
+        add_scaled(out, sign, other.entries)
         dom = self.domain if self.domain == other.domain else merge_domains(self.domain, other.domain)
         if dom is not self.domain:
             for p in out:

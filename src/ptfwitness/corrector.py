@@ -3,11 +3,12 @@ otherwise supported on low-weight points, and are orthogonal to all
 polynomials of degree at most d.  They let l1 mass move between regions
 without any low-degree polynomial noticing.
 
-The hypercube corrector is symmetric (its value depends only on the
-Hamming weight), obtained by solving the square moment system over the
-weight levels 0..d with the top level pinned to 1.  Its pushforwards give
-the anchored corrector on integer boxes and the two-point variant on the
-cube spanned by a pair of points.
+The weight-level values come from the square moment system over the
+levels 0..d with the top level pinned to 1.  Pushed forward blockwise they
+give the anchored corrector on the box below a point u; the hypercube
+corrector is the anchored one below the all-ones point (its value depends
+only on the Hamming weight), and reflecting around a second point gives the
+two-point variant on the cube spanned by a pair of points.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import Domain, FnTable, box, hypercube, orth
+from .core import Domain, FnTable, box, orth
 from .errors import ConstructionError, PreconditionError
 from .linalg import solve_square
 
@@ -53,26 +54,10 @@ def corrector_levels(n: int, d: int) -> tuple[tuple[Fraction, ...], Fraction]:
 
 
 def build_zeta_cube(n: int, d: int) -> tuple[FnTable, CorrectorCertificate]:
-    """Symmetric corrector on {0,1}^n: value 1 at the all-ones point,
-    support otherwise within weight <= d, orthogonal beyond degree d, and
-    l1 norm at most 1 + 2^d C(n,d)."""
-    levels, det = corrector_levels(n, d)
-    dom = hypercube(n)
-    entries: dict[Point, Fraction] = {(1,) * n: F(1)}
-    for p in dom.points():
-        w = sum(p)
-        if w <= d and levels[w] != 0:
-            entries[p] = levels[w]
-    table = FnTable(dom, entries)
-    l1 = table.l1()
-    bound = 1 + F(2 ** d * comb(n, d))
-    cert = CorrectorCertificate(n=n, d=d, levels=levels, l1=l1, l1_bound=bound,
-                                determinant=det)
-    if l1 > bound:
-        raise ConstructionError(f"corrector l1 {l1} exceeds {bound}; solver bug")
-    if not orth(table, cap=d).ge(d + 1):
-        raise ConstructionError("corrector failed its orthogonality check")
-    return table, cert
+    """Symmetric corrector on {0,1}^n: the anchored corrector below the
+    all-ones point, so value 1 there, support otherwise within weight <= d,
+    orthogonal beyond degree d, and l1 norm at most 1 + 2^d C(n,d)."""
+    return build_zeta_u((1,) * n, d)
 
 
 def build_zeta_u(u: Point, d: int) -> tuple[FnTable, CorrectorCertificate]:

@@ -132,8 +132,7 @@ class MPWitnessCertificate:
     convex_ok: bool
 
 
-def build_mp_witness(m: int, r: int,
-                     densify_limit: int = DENSIFY_LIMIT
+def build_mp_witness(m: int, r: int
                      ) -> tuple[ProductMixture, ProductMixture, MPWitnessCertificate]:
     """The bounded dual pair for the symmetric Minsky-Papert function on
     {0..r}^m: Lambda1 puts all blocks on the nonzero range, Lambda0
@@ -156,9 +155,9 @@ def build_mp_witness(m: int, r: int,
     orth_value = None
     supports_ok = True
     dense_dom = Domain((r,) * m)
-    if dense_dom.size() <= densify_limit:
-        d0 = mix0.densify(densify_limit)
-        d1 = mix1.densify(densify_limit)
+    if dense_dom.size() <= DENSIFY_LIMIT:
+        d0 = mix0.densify()
+        d1 = mix1.densify()
         for dist, want in ((d0, 0), (d1, 1)):
             if not dist.is_distribution():
                 raise ConstructionError("witness component is not a distribution")
@@ -199,8 +198,7 @@ class MPSmoothCertificate:
     convex_ok: bool
 
 
-def build_mp_smooth_witness(m: int, r: int, R: int,
-                            densify_limit: int = DENSIFY_LIMIT
+def build_mp_smooth_witness(m: int, r: int, R: int
                             ) -> tuple[ProductMixture, ProductMixture, MPSmoothCertificate]:
     """The locally smooth dual pair on {0..R}^m.  Supports are the full
     preimages of the symmetric Minsky-Papert function (equality, not just
@@ -242,10 +240,10 @@ def build_mp_smooth_witness(m: int, r: int, R: int,
     mp_star = mp_star_table(m, R)
 
     dense_dom = Domain((R,) * m)
-    if dense_dom.size() > densify_limit:
+    if dense_dom.size() > DENSIFY_LIMIT:
         raise PreconditionError("smooth witness verification needs the dense table")
-    d0 = lam_0.densify(densify_limit)
-    d1 = lam_1.densify(densify_limit)
+    d0 = lam_0.densify()
+    d1 = lam_1.densify()
     for dist, want in ((d0, 0), (d1, 1)):
         if not dist.is_distribution():
             raise ConstructionError("smooth witness is not a distribution")
@@ -275,8 +273,8 @@ def build_mp_smooth_witness(m: int, r: int, R: int,
     if k_actual > k_claimed or k_claimed > 25 * k_gadget * m:
         raise ConstructionError("smoothness accounting failed")
 
-    dense_psi1 = psi1.densify(densify_limit)
-    dense_psi2 = psi2.densify(densify_limit)
+    dense_psi1 = psi1.densify()
+    dense_psi2 = psi2.densify()
     t1 = tensor_power(table_mix1, m)
     t2 = tensor_power(table_mix2, m)
     sandwiches_ok = True

@@ -119,11 +119,11 @@ class ProductMixture:
             acc += prod
         return acc
 
-    def densify(self, limit: int = DENSIFY_LIMIT) -> FnTable:
+    def densify(self) -> FnTable:
         dom = self.ambient_domain()
-        if dom.size() > limit:
+        if dom.size() > DENSIFY_LIMIT:
             raise PreconditionError(
-                f"dense table would have {dom.size()} points (limit {limit})")
+                f"dense table would have {dom.size()} points (limit {DENSIFY_LIMIT})")
         out: dict[tuple[int, ...], Fraction] = {}
         for c, labs in self.terms:
             if c == 0:

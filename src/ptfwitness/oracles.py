@@ -317,6 +317,9 @@ def iii_approx_degree(f: PartialFn, i0: Interval, i1: Interval, istar: Interval,
 
 # ---------------------------------------------------------------- discrepancy
 
+# rows + cols above this would make the game's rectangle enumeration too large
+MAX_GAME_SIDE_SUM = 16
+
 
 @dataclass
 class DiscrepancyAnswer:
@@ -331,7 +334,7 @@ def _nonempty_subsets(k: int):
         yield tuple(i for i in range(k) if mask >> i & 1)
 
 
-def discrepancy_2party(matrix: Sequence[Sequence[int]], limit: int = 16) -> DiscrepancyAnswer:
+def discrepancy_2party(matrix: Sequence[Sequence[int]]) -> DiscrepancyAnswer:
     """Exact minimax rectangle correlation of a sign matrix.
 
     Solved as a matrix game: the distribution player minimizes, the
@@ -348,7 +351,7 @@ def discrepancy_2party(matrix: Sequence[Sequence[int]], limit: int = 16) -> Disc
         raise PreconditionError("ragged matrix")
     if any(v not in (1, -1) for r in matrix for v in r):
         raise PreconditionError("entries must be +-1")
-    if rows + cols > limit:
+    if rows + cols > MAX_GAME_SIDE_SUM:
         raise PreconditionError(
             "matrix too large for exact rectangle enumeration; "
             "use the closed-form evaluators in matrix_bounds instead")
@@ -403,6 +406,9 @@ def discrepancy_2party(matrix: Sequence[Sequence[int]], limit: int = 16) -> Disc
 
 # ------------------------------------------------------------------- density
 
+# hypercube dimension above which the parity-family search is refused
+MAX_DENSITY_VARS = 6
+
 
 @dataclass
 class DensityAnswer:
@@ -412,7 +418,7 @@ class DensityAnswer:
     exceeded_cap: bool
 
 
-def threshold_density(f: FnTable, cap: int, max_vars: int = 6) -> DensityAnswer:
+def threshold_density(f: FnTable, cap: int) -> DensityAnswer:
     """Minimum number of parities whose weighted sign sum represents f.
 
     Searches set families in increasing size; each candidate family is a
@@ -425,8 +431,8 @@ def threshold_density(f: FnTable, cap: int, max_vars: int = 6) -> DensityAnswer:
     if not dom.is_hypercube:
         raise PreconditionError("threshold density defined on the hypercube")
     n = dom.n
-    if n > max_vars:
-        raise PreconditionError(f"hypercube too large (n={n} > {max_vars})")
+    if n > MAX_DENSITY_VARS:
+        raise PreconditionError(f"hypercube too large (n={n} > {MAX_DENSITY_VARS})")
     points = list(dom.points())
     targets = [(-1 if f(p) == 1 else 1) for p in points]
     masks = sorted(range(2 ** n), key=lambda m: (bin(m).count("1"), m))

@@ -4,6 +4,10 @@ Dominant-coordinate selection, concentration checks for product
 distributions, weight transfer (moving all mass below a weight threshold
 without low-degree polynomials noticing), cap and ball mass comparisons,
 anchored zeroizers, heavy-tail removal, and min-smooth redistribution.
+Heavy-tail removal and weight transfer on convex combinations of products
+share one per-term loop: each term is moved to the zero corner of its
+support, reduced there, shifted back and recombined, and the difference
+from the dense mixture is checked to be orthogonal beyond degree d.
 
 Every operation returns a certificate whose inequalities were re-checked
 by an independent pass over the dense table.  Irrational thresholds
@@ -19,7 +23,7 @@ from fractions import Fraction
 from math import comb
 
 from .brackets import e_brackets, one_plus_ln_brackets, pow2_brackets, sqrt_lower
-from .core import Domain, FnTable, box, orth, smoothness_constant
+from .core import Domain, FnTable, add_scaled, orth, smoothness_constant, tighten_domain
 from .corrector import build_zeta_u, build_zeta_uv
 from .errors import ConstructionError, PreconditionError
 from .mixtures import FamilySpec, ProductMixture
@@ -125,7 +129,7 @@ def check_concentration(lambdas: list[FnTable], C, alpha, theta) -> Concentratio
         for (t,), val in lam.entries.items():
             if val * (t + 1) ** 2 > C * alpha ** t:
                 envelope_ok = False
-    e_lo, e_hi = e_brackets()
+    _, e_hi = e_brackets()
     _, log_hi = one_plus_ln_brackets(n)
     precondition_ok = theta >= 8 * C * e_hi * n * log_hi
     # exact weight-sum distribution by convolution
@@ -183,15 +187,14 @@ def _ball_points(dom: Domain, u: Point, d: int):
             yield p
 
 
-def verify_cap_ball(lam: FnTable, theta: int, d: int, K=None,
-                    anchors: list[Point] | None = None) -> CapBallReport:
+def verify_cap_ball(lam: FnTable, theta: int, d: int, K=None) -> CapBallReport:
     """Exact checks of the two mass-comparison inequalities for a K-smooth
-    distribution on the weight-capped box."""
+    distribution on the weight-capped box, the ball one at every anchor."""
     dom = lam.domain
     if any(dom.offset):
         raise PreconditionError("cap/ball checks expect a zero-based box")
-    if theta < d:
-        raise PreconditionError("need theta >= d")
+    if not 0 <= d <= theta:
+        raise PreconditionError("need 0 <= d <= theta")
     k_actual = smoothness_constant(lam, weight_cap=theta)
     if k_actual is None:
         raise PreconditionError("function vanishes inside the region")
@@ -204,10 +207,8 @@ def verify_cap_ball(lam: FnTable, theta: int, d: int, K=None,
     total_r = sum(dom.bounds)
     if not (2 * d < min(theta, total_r)):
         raise PreconditionError("ball comparison needs d < min(theta, sum r_i) / 2")
-    if anchors is None:
-        anchors = list(dom.points())
     factor = 2 ** (d + 1) * K ** (2 * d + 1) * comb(n + d, d)
-    for u in anchors:
+    for u in dom.points():
         ball = set(_ball_points(dom, u, d))
         outside = sum((v for p, v in lam.entries.items()
                        if sum(p) <= theta and p not in ball), F(0))
@@ -215,7 +216,7 @@ def verify_cap_ball(lam: FnTable, theta: int, d: int, K=None,
             ball_ok = False
     return CapBallReport(theta=theta, d=d, K=K, smooth_ok=smooth_ok,
                          cap_ok=cap_ok, ball_ok=ball_ok,
-                         checked_anchors=len(anchors))
+                         checked_anchors=dom.size())
 
 
 # -------------------------------------------------------------- zeroizers
@@ -234,6 +235,24 @@ def _diam(points) -> int:
     return best
 
 
+def _zeroizer_bound(K: Fraction, n: int, d: int, diam: int) -> Fraction:
+    """2^(3d+1) K^(4d+1) C(n+d,d)^3 C(diam,d): the pointwise factor by which
+    an anchored zeroizer may exceed a K-smooth distribution off its anchor."""
+    return F(2 ** (3 * d + 1)) * K ** (4 * d + 1) * comb(n + d, d) ** 3 * comb(diam, d)
+
+
+def _cap_profile(phi: FnTable, theta: int) -> tuple[FnTable, Fraction, Fraction]:
+    """(|phi| / ||phi||_1, ||phi||_1, K) for phi supported on the weight cap,
+    with K the smoothness constant of the normalised profile there."""
+    l1 = phi.l1()
+    lam = FnTable(phi.domain, {p: abs(v) / l1 for p, v in phi.entries.items()},
+                  _trusted=True)
+    K = smoothness_constant(lam, weight_cap=theta)
+    if K is None:
+        raise PreconditionError("function is not locally smooth on the cap")
+    return lam, l1, K
+
+
 @dataclass
 class ZuCertificate:
     u: Point
@@ -249,8 +268,7 @@ class ZuCertificate:
     outside_factor_bound: Fraction
 
 
-def build_Zu(lam: FnTable, u: Point, d: int, theta: int,
-             K=None) -> tuple[FnTable, ZuCertificate]:
+def build_Zu(lam: FnTable, u: Point, d: int, theta: int) -> tuple[FnTable, ZuCertificate]:
     """An anchored zeroizer for a locally smooth distribution: value 1 at u,
     orthogonal beyond degree d, supported in the weight cap plus the anchor,
     and pointwise dominated by a computed multiple of the distribution."""
@@ -265,12 +283,9 @@ def build_Zu(lam: FnTable, u: Point, d: int, theta: int,
         raise PreconditionError("need d < min(theta, sum r_i) / 3")
     if not lam.is_distribution() or any(sum(p) > theta for p in lam.entries):
         raise PreconditionError("need a probability distribution on the weight cap")
-    k_actual = smoothness_constant(lam, weight_cap=theta)
-    if k_actual is None:
+    K = smoothness_constant(lam, weight_cap=theta)
+    if K is None:
         raise PreconditionError("distribution vanishes inside the region")
-    K = k_actual if K is None else F(K)
-    if k_actual > K:
-        raise PreconditionError("distribution is not K-smooth at the given K")
 
     ball = set(_ball_points(dom, u, d))
     targets = [p for p in dom.points() if sum(p) <= theta - d and p not in ball]
@@ -283,15 +298,9 @@ def build_Zu(lam: FnTable, u: Point, d: int, theta: int,
         if not w:
             continue
         zeta, _ = build_zeta_uv(u, vpt, d)
-        for p, val in zeta.entries.items():
-            cur = acc.get(p, F(0)) + w * val
-            if cur == 0:
-                acc.pop(p, None)
-            else:
-                acc[p] = cur
+        add_scaled(acc, w, zeta.entries)
     zu = FnTable(dom, {p: v / mass for p, v in acc.items()})
 
-    n = dom.n
     diam = _diam(set(lam.entries) | {u})
     support_ok = all(sum(p) <= theta or p == u for p in zu.entries)
     at_u = zu(u)
@@ -301,8 +310,7 @@ def build_Zu(lam: FnTable, u: Point, d: int, theta: int,
     for p, v in zu.entries.items():
         if p != u:
             outside = max(outside, abs(v) / lam(p))
-    factor_bound = (F(2 ** (3 * d + 1)) * K ** (4 * d + 1)
-                    * comb(n + d, d) ** 3 * comb(diam, d))
+    factor_bound = _zeroizer_bound(K, dom.n, d, diam)
     cert = ZuCertificate(u=u, d=d, theta=theta, K=K, support_ok=support_ok,
                          at_u=at_u, orth_ok=orth_ok, l1=zu.l1(), l1_bound=l1_bound,
                          outside_factor=outside, outside_factor_bound=factor_bound)
@@ -324,8 +332,7 @@ class ZeroOutCertificate:
     distance_factor_bound: Fraction
 
 
-def zero_out_heavy(phi: FnTable, d: int, theta: int,
-                   K=None) -> tuple[FnTable, ZeroOutCertificate]:
+def zero_out_heavy(phi: FnTable, d: int, theta: int) -> tuple[FnTable, ZeroOutCertificate]:
     """Remove all support above the weight cap without low-degree
     polynomials noticing, at a pointwise cost proportional to the removed
     mass.  Trivial when nothing lies above the cap."""
@@ -344,24 +351,11 @@ def zero_out_heavy(phi: FnTable, d: int, theta: int,
                                   distance_factor=F(0),
                                   distance_factor_bound=F(0))
         return phi, cert
-    low_l1 = low.l1()
-    lam = FnTable(dom, {p: abs(v) / low_l1 for p, v in low.entries.items()},
-                  _trusted=True)
-    k_actual = smoothness_constant(lam, weight_cap=theta)
-    if k_actual is None:
-        raise PreconditionError("function is not locally smooth on the cap")
-    K = k_actual if K is None else F(K)
+    lam, low_l1, K = _cap_profile(low, theta)
     acc: dict[Point, Fraction] = dict(phi.entries)
-    worst_zu_factor = F(0)
     for u, val in sorted(heavy.items()):
-        zu, zu_cert = build_Zu(lam, u, d, theta, K=K)
-        worst_zu_factor = max(worst_zu_factor, zu_cert.outside_factor)
-        for p, zv in zu.entries.items():
-            cur = acc.get(p, F(0)) - val * zv
-            if cur == 0:
-                acc.pop(p, None)
-            else:
-                acc[p] = cur
+        zu, _ = build_Zu(lam, u, d, theta)
+        add_scaled(acc, -val, zu.entries)
     phi_t = FnTable(dom, acc, _trusted=True)
     support_ok = all(sum(p) <= theta for p in phi_t.entries)
     diff = phi - phi_t
@@ -373,10 +367,7 @@ def zero_out_heavy(phi: FnTable, d: int, theta: int,
             factor = max(factor, abs(diff(p)) / abs(phi(p)))
         elif sum(p) <= theta and diff(p):
             raise ConstructionError("difference escaped the support of phi")
-    n = dom.n
-    diam = _diam(phi.entries)
-    bound = (F(2 ** (3 * d + 1)) * K ** (4 * d + 1) * comb(n + d, d) ** 3
-             * comb(diam, d) * heavy_l1 / low_l1)
+    bound = _zeroizer_bound(K, dom.n, d, _diam(phi.entries)) * heavy_l1 / low_l1
     cert = ZeroOutCertificate(d=d, theta=theta, K=K, trivial=False,
                               support_ok=support_ok, orth_ok=orth_ok,
                               distance_factor=factor,
@@ -386,22 +377,48 @@ def zero_out_heavy(phi: FnTable, d: int, theta: int,
     return phi_t, cert
 
 
-def zero_out_heavy_translated(phi: FnTable, d: int, theta: int,
-                              K=None) -> tuple[FnTable, ZeroOutCertificate]:
-    """Same as zero_out_heavy for a function living on a translated box."""
-    dom = phi.domain
-    shift = dom.offset
-    base = sum(shift)
-    if 3 * d >= theta - base:
-        raise PreconditionError("need d < (theta - sum offsets) / 3")
-    base_dom = Domain(dom.bounds)
-    moved = FnTable(base_dom,
-                    {tuple(a - s for a, s in zip(p, shift)): v
-                     for p, v in phi.entries.items()}, _trusted=True)
-    out, cert = zero_out_heavy(moved, d, theta - base, K=K)
-    back = FnTable(dom, {tuple(a + s for a, s in zip(p, shift)): v
-                         for p, v in out.entries.items()}, _trusted=True)
-    return back, cert
+def _moved(p: Point, shift: Point, sign: int) -> Point:
+    return tuple(a + sign * s for a, s in zip(p, shift))
+
+
+def _reduce_terms(mix: ProductMixture, d: int, reduce_term):
+    """The per-term loop of the convex weight-transfer steps.
+
+    Every term of the convex combination `mix` is moved to the zero corner
+    of its support (each factor shifted down by its least support point),
+    reduced there by `reduce_term(labels, base, shift)`, which returns the
+    reduced table on the base box and a certificate, shifted back by
+    `shift`, and recombined with its coefficient.  Returns the recombined
+    table and the dense mixture, both on the mixture's ambient box, the
+    per-term (shift, certificate) pairs, and whether the difference of the
+    two tables is orthogonal beyond degree d.
+    """
+    if not mix.coefficients_convex():
+        raise PreconditionError("expected a convex combination")
+    total: dict[Point, Fraction] = {}
+    dense: dict[Point, Fraction] = {}
+    done = []
+    for coeff, labels in mix.terms:
+        factors: dict[str, FnTable] = {}
+        shift: Point = ()
+        for lab in labels:
+            t = tighten_domain(mix.factors[lab])
+            a = t.domain.offset
+            factors[lab] = FnTable(Domain(t.domain.bounds),
+                                   {_moved(p, a, -1): v for p, v in t.entries.items()},
+                                   _trusted=True)
+            shift += a
+        base = ProductMixture(factors, [(F(1), labels)])
+        reduced, cert = reduce_term(labels, base, shift)
+        done.append((shift, cert))
+        add_scaled(total, coeff, {_moved(p, shift, 1): v for p, v in reduced.entries.items()})
+        add_scaled(dense, coeff,
+                   {_moved(p, shift, 1): v for p, v in base.densify().entries.items()})
+    ambient = mix.ambient_domain()
+    total_t = FnTable(ambient, total, _trusted=True)
+    dense_t = FnTable(ambient, dense, _trusted=True)
+    orth_ok = orth(dense_t - total_t, cap=d).ge(d + 1)
+    return total_t, dense_t, done, orth_ok
 
 
 @dataclass
@@ -418,40 +435,30 @@ class ConvexZeroOutCertificate:
 
 def zero_out_heavy_convex(mix: ProductMixture, d: int, theta: int
                           ) -> tuple[FnTable, ConvexZeroOutCertificate]:
-    """Apply the translated zeroizer to every term of a convex combination
-    of product distributions and recombine."""
-    if not mix.coefficients_convex():
-        raise PreconditionError("expected a convex combination")
-    from .core import tighten_domain
+    """Remove the heavy tail of every term of a convex combination of
+    product distributions at the zero corner of its support, and
+    recombine."""
+    tails = []  # each term's mass above theta
 
-    total: FnTable | None = None
-    dense_total: FnTable | None = None
-    term_certs = []
-    delta_tail = F(0)
-    for coeff, labels in mix.terms:
-        term = tighten_domain(ProductMixture(mix.factors, [(F(1), labels)]).densify())
-        tail = term.mass(lo=theta + 1)
-        delta_tail = max(delta_tail, tail)
-        reduced, cert = zero_out_heavy_translated(term, d, theta)
-        term_certs.append(cert)
-        scaled = reduced.scale(coeff)
-        dense_term = term.scale(coeff)
-        total = scaled if total is None else total + scaled
-        dense_total = dense_term if dense_total is None else dense_total + dense_term
-    diff = dense_total - total
-    orth_ok = orth(diff, cap=d).ge(d + 1)
-    support_ok = all(sum(p) <= theta for p in total.entries) and \
-        all(p in dense_total.entries for p in total.entries)
+    def reduce_term(labels, base, shift):
+        lift = sum(shift)
+        if 3 * d >= theta - lift:
+            raise PreconditionError("need d < (theta - sum offsets) / 3")
+        term = base.densify()
+        tails.append(term.mass(lo=theta - lift + 1))
+        return zero_out_heavy(term, d, theta - lift)
+
+    total, dense, done, orth_ok = _reduce_terms(mix, d, reduce_term)
+    support_ok = all(sum(p) <= theta and p in dense.entries for p in total.entries)
     factor = F(0)
-    for p, v in dense_total.entries.items():
-        if sum(p) <= theta and diff(p):
-            factor = max(factor, abs(diff(p)) / abs(v))
-    is_dist = total.is_distribution()
-    cert = ConvexZeroOutCertificate(d=d, theta=theta, delta_tail=delta_tail,
+    for p, v in dense.entries.items():
+        if sum(p) <= theta and v != total(p):
+            factor = max(factor, abs(v - total(p)) / abs(v))
+    cert = ConvexZeroOutCertificate(d=d, theta=theta, delta_tail=max(tails),
                                     orth_ok=orth_ok, support_ok=support_ok,
                                     pointwise_factor=factor,
-                                    is_distribution=is_dist,
-                                    term_certs=term_certs)
+                                    is_distribution=total.is_distribution(),
+                                    term_certs=[c for _, c in done])
     if not (orth_ok and support_ok):
         raise ConstructionError("convex zeroizer failed its certificate")
     return total, cert
@@ -473,8 +480,8 @@ class RedistributeCertificate:
     min_smooth_factor_actual: Fraction  # exact min of |phi*| / Lambda*
 
 
-def redistribute(phi: FnTable, lam_star: FnTable, d: int, theta: int,
-                 K=None) -> tuple[FnTable, RedistributeCertificate]:
+def redistribute(phi: FnTable, lam_star: FnTable, d: int, theta: int
+                 ) -> tuple[FnTable, RedistributeCertificate]:
     """Make a locally smooth function globally min-smooth relative to a
     target distribution, preserving signs and low-degree indistinguishability.
     """
@@ -495,28 +502,14 @@ def redistribute(phi: FnTable, lam_star: FnTable, d: int, theta: int,
         raise PreconditionError("function must be supported on the whole cap region")
     if not lam_star.is_distribution() or any(sum(p) > theta for p in lam_star.entries):
         raise PreconditionError("target must be a distribution on the cap region")
-    l1 = phi.l1()
-    lam = FnTable(dom, {p: abs(v) / l1 for p, v in phi.entries.items()}, _trusted=True)
-    k_actual = smoothness_constant(lam, weight_cap=theta)
-    if k_actual is None:
-        raise PreconditionError("function is not locally smooth on the cap")
-    K = k_actual if K is None else F(K)
-    n = dom.n
-    diam = _diam(phi.entries)
-    N = (F(2 ** (3 * d + 1)) * K ** (4 * d + 1) * comb(n + d, d) ** 3
-         * comb(diam, d))
+    lam, l1, K = _cap_profile(phi, theta)
+    N = _zeroizer_bound(K, dom.n, d, _diam(phi.entries))
     acc: dict[Point, Fraction] = dict(phi.entries)
     for u in sorted(lam_star.entries):
         w = lam_star(u)
-        zu, _ = build_Zu(lam, u, d, theta, K=K)
+        zu, _ = build_Zu(lam, u, d, theta)
         sgn = 1 if phi(u) >= 0 else -1
-        scale = l1 / N * sgn * w
-        for p, zv in zu.entries.items():
-            cur = acc.get(p, F(0)) + scale * zv
-            if cur == 0:
-                acc.pop(p, None)
-            else:
-                acc[p] = cur
+        add_scaled(acc, l1 / N * sgn * w, zu.entries)
     phi_star = FnTable(dom, acc, _trusted=True)
     orth_ok = orth(phi - phi_star, cap=d).ge(d + 1)
     l1_ok = phi_star.l1() <= 2 * l1
@@ -577,7 +570,7 @@ def weight_reduce(mix: ProductMixture, d: int, theta: int,
         for f in factors:
             if not family.member(f):
                 preconditions_ok = False
-        e_lo, e_hi = e_brackets()
+        _, e_hi = e_brackets()
         _, log_hi = one_plus_ln_brackets(n)
         if F(theta) * family.c ** 2 < 4 * e_hi * n * log_hi:
             preconditions_ok = False
@@ -596,16 +589,13 @@ def weight_reduce(mix: ProductMixture, d: int, theta: int,
         S = sorted(hs.indices)
         u = tuple(vpt[i] for i in S)
         zu_table, _ = build_zeta_u(u, d)
+        placed = {}
         for w, val in zu_table.entries.items():
             p = list(vpt)
             for idx, coord in zip(S, w):
                 p[idx] = coord
-            p = tuple(p)
-            cur = zeta.get(p, F(0)) + mass_v * val
-            if cur == 0:
-                zeta.pop(p, None)
-            else:
-                zeta[p] = cur
+            placed[tuple(p)] = val
+        add_scaled(zeta, mass_v, placed)
     zeta_t = FnTable(dense.domain, zeta, _trusted=True)
     reduced = dense - zeta_t
     support_ok = all(sum(p) < 2 * theta and p in dense.entries
@@ -640,56 +630,32 @@ def weight_reduce_convex(mix: ProductMixture, d: int, theta: int,
                          family: FamilySpec | None = None,
                          enforce_preconditions: bool = True
                          ) -> tuple[FnTable, WeightReduceCertificate]:
-    """Weight transfer for convex combinations of translated products: each
-    term is shifted to the base box, reduced, and shifted back."""
-    if not mix.coefficients_convex():
-        raise PreconditionError("expected a convex combination")
+    """Weight transfer for convex combinations of translated products of
+    univariate factors: each term is reduced at the zero corner of its
+    support and shifted back."""
     base_family = None
     if family is not None:
         base_family = FamilySpec(kind=family.kind, r=family.r, c=family.c,
                                  alpha=family.alpha, delta=0, bits=family.bits)
-    total: FnTable | None = None
-    dense_total: FnTable | None = None
-    worst: WeightReduceCertificate | None = None
-    max_shift = 0
-    for coeff, labels in mix.terms:
-        shifts = []
-        base_factors = {}
-        base_labels = []
-        for i, lab in enumerate(labels):
-            t = mix.factors[lab]
-            # translate each factor to base form by its least support point
-            a = min((p[0] for p in t.entries), default=t.domain.offset[0])
-            if family is not None and a - t.domain.offset[0] > family.delta:
-                raise PreconditionError("factor translated beyond the family's range")
-            shifts.append(a)
-            base = FnTable(Domain(t.domain.bounds),
-                           {(p[0] - a,): v for p, v in t.entries.items()},
-                           _trusted=True)
-            base_lab = f"{lab}@0"
-            base_factors[base_lab] = base
-            base_labels.append(base_lab)
-        max_shift = max(max_shift, sum(shifts))
-        sub = ProductMixture(base_factors, [(F(1), tuple(base_labels))])
-        reduced, _, cert = weight_reduce(sub, d, theta, family=base_family,
+
+    def reduce_term(labels, base, shift):
+        if family is not None and any(a - mix.factors[lab].domain.offset[0] > family.delta
+                                      for lab, a in zip(labels, shift)):
+            raise PreconditionError("factor translated beyond the family's range")
+        reduced, _, cert = weight_reduce(base, d, theta, family=base_family,
                                          enforce_preconditions=enforce_preconditions)
-        if worst is None or not cert.is_distribution:
-            worst = cert
-        shifted = FnTable(
-            mix.ambient_domain(),
-            {tuple(a + s for a, s in zip(p, shifts)): coeff * v
-             for p, v in reduced.entries.items()})
-        dense_term = ProductMixture(mix.factors, [(coeff, labels)]).densify()
-        total = shifted if total is None else total + shifted
-        dense_total = dense_term if dense_total is None else dense_total + dense_term
-    diff = dense_total - total
-    orth_ok = diff.is_zero() or orth(diff, cap=d).ge(d + 1)
+        return reduced, cert
+
+    total, _, done, orth_ok = _reduce_terms(mix, d, reduce_term)
+    max_shift = max(sum(shift) for shift, _ in done)
     support_ok = all(sum(p) < 2 * theta + max_shift for p in total.entries)
+    certs = [cert for _, cert in done]
+    # report the last term whose reduction is not a distribution, else the first
+    worst = next((c for c in reversed(certs) if not c.is_distribution), certs[0])
     cert = WeightReduceCertificate(
         d=d, theta=theta, support_ok=support_ok, orth_ok=orth_ok,
         statistical_factor=None, statistical_bound_lower=None,
-        preconditions_ok=worst.preconditions_ok if worst else False,
-        heavy_points=worst.heavy_points if worst else 0,
+        preconditions_ok=worst.preconditions_ok, heavy_points=worst.heavy_points,
         is_distribution=total.is_distribution())
     if not (support_ok and orth_ok):
         raise ConstructionError("convex weight transfer failed its certificate")

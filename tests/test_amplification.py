@@ -9,7 +9,6 @@ from ptfwitness.amplification import (
     booleanize,
     build_G,
     build_g,
-    compose_mp_star,
     compose_table,
     min_smooth_amplify,
     multilinear_coeffs,
@@ -120,19 +119,33 @@ def test_multilinear_coeffs_parity():
     assert coeffs[frozenset([0, 1])] == 4
 
 
-def test_compose_mp_star_identity_m1():
+def test_compose_table_mp_star_identity_m1():
     f = bool_table(hypercube(1), [(1,)])
-    table = compose_mp_star(f, 1, theta=1)
+    table = compose_table(f, 1, 1, theta=1)
     assert table.domain.bounds == (1,)
     assert table((1,)) == 1 and table((0,)) == 0
 
 
-def test_compose_mp_star_and2():
+def test_compose_table_mp_star_and2():
     f = bool_table(hypercube(2), [(1, 1)])
-    table = compose_mp_star(f, 1, theta=2)
+    table = compose_table(f, 1, 1, theta=2)
     assert table((1, 1)) == 1
     assert table((1, 0)) == 0
     assert table.domain.size() == 4
+
+
+def test_compose_table_rejects_non_hypercube_outer_function():
+    with pytest.raises(PreconditionError, match="hypercube"):
+        compose_table(bool_table(box([2]), [(1,)]), 1, 2, 2)
+
+
+def test_empty_inputs_raise_precondition_errors():
+    with pytest.raises(PreconditionError):
+        multilinear_coeffs({})
+    with pytest.raises(PreconditionError):
+        z_degree_of_expectations({}, {(0,): F(1)})
+    with pytest.raises(PreconditionError, match="z is empty"):
+        booleanize((), 1, 1, d=1, theta=2, enforce_preconditions=False)
 
 
 def test_surjectivity_domain_count():

@@ -109,6 +109,12 @@ def test_cap_ball_theta_below_d():
         verify_cap_ball(lam, theta=0, d=1)
 
 
+def test_cap_ball_negative_d():
+    lam = uniform(Domain((2, 2)))
+    with pytest.raises(PreconditionError):
+        verify_cap_ball(lam, theta=3, d=-1)
+
+
 def test_build_zu_univariate():
     from ptfwitness.core import inner_product
 
