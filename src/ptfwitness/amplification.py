@@ -67,10 +67,6 @@ class GMap:
     def label(self, x: Point) -> int:
         return self.label_of_syndrome[self.syndrome(x)]
 
-    def label_vector(self, x: Point) -> Point:
-        lab = self.label(x)
-        return tuple(1 if i + 1 == lab else 0 for i in range(self.n))
-
 
 @dataclass
 class CompressionCertificate:

@@ -200,9 +200,6 @@ class FnTable:
     def l1(self) -> Fraction:
         return sum((abs(v) for v in self.entries.values()), Fraction(0))
 
-    def linf(self) -> Fraction:
-        return max((abs(v) for v in self.entries.values()), default=Fraction(0))
-
     def total(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))
 
@@ -358,10 +355,6 @@ class OrthResult:
     def infinite() -> "OrthResult":
         return OrthResult("infinite", None, None)
 
-    def at_least_value(self) -> int | None:
-        """The guaranteed lower bound, or None when infinite."""
-        return self.value if self.kind != "infinite" else None
-
     def ge(self, d: int) -> bool:
         """True when orth is certainly >= d."""
         return self.kind == "infinite" or self.value >= d
@@ -496,12 +489,6 @@ def lift_symmetric_to_cube(phi: FnTable) -> FnTable:
             p = tuple(1 if i in ones else 0 for i in range(r))
             out[p] = share
     return FnTable(dom, out, _trusted=True)
-
-
-def pos_neg_parts(f: FnTable) -> tuple[FnTable, FnTable]:
-    pos = {p: v for p, v in f.entries.items() if v > 0}
-    neg = {p: -v for p, v in f.entries.items() if v < 0}
-    return (FnTable(f.domain, pos, _trusted=True), FnTable(f.domain, neg, _trusted=True))
 
 
 def point_mass(domain: Domain, p: Point) -> FnTable:

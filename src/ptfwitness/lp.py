@@ -1,6 +1,7 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming over nonnegative variables.
 
-A dense two-phase simplex with Bland's anti-cycling rule, so every solve is
+Every variable is nonnegative, and is one column of the tableau.  A dense
+two-phase simplex with Bland's anti-cycling rule, so every solve is
 deterministic across runs and platforms.  LPProblem.add clears each
 constraint's denominators once and stores it as a row (nums, rel, rhs, den):
 the constraint nums . x rel rhs over integers, all divided by one positive
@@ -27,7 +28,7 @@ checked to stay feasible while the objective falls.
 
 Constraint relations are "<=", ">=", "==".  Farkas sign convention: the
 multiplier vector y satisfies y_i <= 0 on "<=" rows, y_i >= 0 on ">=" rows,
-is free on "==" rows, sum_i y_i a_i = 0 componentwise, and
+is free on "==" rows, sum_i y_i a_i <= 0 componentwise, and
 sum_i y_i b_i > 0.
 """
 
@@ -60,13 +61,12 @@ def _cleared(values) -> tuple[list[int], int]:
 
 @dataclass
 class LPProblem:
-    """min objective . x subject to the rows; objective None = feasibility.
-    Rows come in only through add."""
+    """min objective . x subject to the rows and x >= 0; objective None =
+    feasibility.  Rows come in only through add."""
 
     n_vars: int
     rows: list[Row] = field(default_factory=list, init=False)
     objective: list[Fraction] | None = None
-    nonneg: list[bool] | None = None  # per-variable; None = all free
 
     def add(self, coeffs, rel: str, rhs) -> None:
         if rel not in _RELS:
@@ -97,8 +97,8 @@ def _check_point(problem: LPProblem, v, what: str, ray: bool = False) -> tuple[l
     if v is None or len(v) != problem.n_vars:
         raise VerificationError(f"missing {what}")
     nums, m = _cleared(v)
-    if problem.nonneg and any(nn and a < 0 for a, nn in zip(nums, problem.nonneg)):
-        raise VerificationError(f"{what} negative on sign-constrained variable")
+    if any(a < 0 for a in nums):
+        raise VerificationError(f"{what} has a negative entry")
     for coeffs, rel, rhs, _ in problem.rows:
         lhs, b = sum(map(mul, coeffs, nums)), 0 if ray else rhs * m
         if not ((lhs <= b) if rel == "<=" else (lhs >= b) if rel == ">=" else (lhs == b)):
@@ -134,18 +134,10 @@ def verify_certificate(problem: LPProblem, cert: LPCertificate) -> None:
                 k = w * (L // den)
                 combo = [a + k * c for a, c in zip(combo, coeffs)]
                 rhs_combo += k * rhs
-        # the combination must dominate: sum y_i a_i x >= sum y_i b_i for all
-        # feasible x; with the variable coefficients cancelling on the
-        # unconstrained directions, a strict positive rhs is a contradiction
-        if problem.nonneg:
-            for cj, nn in zip(combo, problem.nonneg):
-                if nn:
-                    if cj > 0:
-                        raise VerificationError("farkas residual positive on nonneg var")
-                elif cj != 0:
-                    raise VerificationError("farkas residual on free var")
-        elif any(combo):
-            raise VerificationError("farkas residual on free var")
+        # every feasible x >= 0 has sum_i y_i b_i <= (sum_i y_i a_i) . x <= 0
+        # when sum_i y_i a_i <= 0, so a positive rhs is a contradiction
+        if any(c > 0 for c in combo):
+            raise VerificationError("farkas residual positive on a variable")
         if rhs_combo <= 0:
             raise VerificationError("farkas rhs combination not positive")
     elif cert.status == "unbounded":
@@ -239,25 +231,13 @@ def solve(problem: LPProblem) -> LPCertificate:
 
 def _solve_raw(problem: LPProblem) -> LPCertificate:
     n = problem.n_vars
-    nonneg = problem.nonneg or [False] * n
-    if len(nonneg) != n:
-        raise PreconditionError("nonneg mask length mismatch")
     objective = problem.objective
     if objective is not None and len(objective) != n:
         raise PreconditionError("objective length mismatch")
 
-    # column layout: for each variable either one column (nonneg) or a
-    # split pair x = x+ - x-; then one slack per inequality row; then one
-    # artificial per row, art0 + i for row i.
-    col_of_var: list[tuple[int, int]] = []
-    ncols = 0
-    for nn in nonneg:
-        if nn:
-            col_of_var.append((ncols, -1))
-            ncols += 1
-        else:
-            col_of_var.append((ncols, ncols + 1))
-            ncols += 2
+    # column layout: column j is variable j; then one slack per inequality
+    # row; then one artificial per row, art0 + i for row i.
+    ncols = n
     slack_col = {}
     for i, (_, rel, _, _) in enumerate(problem.rows):
         if rel != "==":
@@ -275,14 +255,7 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
     for i, (coeffs, rel, rhs, den) in enumerate(problem.rows):
         s = 1 if rhs >= 0 else -1
         sigma.append(s)
-        row = [0] * (ncols + 1)
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
-            cp, cm = col_of_var[j]
-            row[cp] = s * c
-            if cm >= 0:
-                row[cm] = -s * c
+        row = [s * c for c in coeffs] + [0] * (ncols - n + 1)
         if rel != "==":
             row[slack_col[i]] = s * den if rel == "<=" else -s * den
         row[art0 + i] = den
@@ -324,27 +297,14 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
                     break
 
     def point(colval: dict[int, Fraction]) -> list[Fraction]:
-        out = []
-        for cp, cm in col_of_var:
-            v = colval.get(cp, F(0))
-            if cm >= 0:
-                v -= colval.get(cm, F(0))
-            out.append(v)
-        return out
+        return [colval.get(j, F(0)) for j in range(n)]
 
     def basic_point() -> list[Fraction]:
         return point({basis[i]: F(T[i][-1], D[i]) for i in range(m)})
 
     if objective is not None:
         obj, dc = _cleared(objective)
-        cost = [0] * (ncols + 1)
-        for j, c in enumerate(obj):
-            if not c:
-                continue
-            cp, cm = col_of_var[j]
-            cost[cp] = c
-            if cm >= 0:
-                cost[cm] = -c
+        cost = obj + [0] * (ncols - n + 1)
         for i in range(m):
             f = cost[basis[i]]
             if f:

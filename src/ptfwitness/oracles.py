@@ -1,14 +1,34 @@
 """Degree oracles: ground truth for every constructed witness.
 
-Threshold degree (gamma = 0) and gamma-smooth threshold degree share one
-ladder of exact feasibility programs: with s = (-1)^f, level L asks for
-nu >= 0 of total 1 - gamma with s (gamma/|X| + nu) orthogonal to all
-monomials of degree < L.  The last feasible level, L = value, gives the
-dual witness; the first infeasible level's Farkas multipliers give the
-primal q, of degree <= value, with (gamma/|X|) sum_p s_p q(p) +
-(1 - gamma) min_p s_p q(p) >= 1 (margin-1 sign representation at gamma = 0),
-so no distribution with floor gamma/|X| twists orthogonally to q.  Both
-artifacts are re-checked before being returned.
+Every oracle poses one linear program, built by _weigh: nonnegative weights
+x_v on columns v = (p_v, sigma_v, e_v), each a point with a sign and an end,
+and against basis functions B_k
+
+    sum_v sigma_v B_k(p_v) x_v = -(gamma/N) sum_v sigma_v B_k(p_v)   for every k,
+    sum_v e_v x_v = 1 - gamma,
+
+N the number of columns.  A solution is the dual witness, a weighting with
+floor gamma/N, twisted by the signs, orthogonal to the basis.  Otherwise
+the Farkas vector (z, w) gives q = -z/r, r > 0 its combination of the
+right-hand sides, with
+
+    (gamma/N) sum_v sigma_v q(p_v) + (1 - gamma) min_v (sigma_v q(p_v) - e_v) >= gamma,
+
+re-checked in integers; at gamma = 0 it reads sigma_v q(p_v) >= e_v.
+
+- Threshold degree (gamma = 0) and gamma-smooth threshold degree: one
+  column (p, s_p, 1) per point, s = (-1)^f, and at level L of the ladder
+  the monomials of degree < L as the basis.  The last feasible level,
+  L = value, gives the dual witness, the first infeasible one a q of degree
+  <= value (a margin-1 sign representation at gamma = 0).
+- Interval approximate degree: the same ladder at gamma = 0, with columns
+  (p, +1, lo_p) and (p, -1, -hi_p) for the finite ends of p's interval, so
+  q maps every point into its interval; the dual sums sigma_v x_v per point.
+- Threshold density: per parity family, one column (pattern, +1, 1) per
+  distinct sign pattern against the family's characters, so q is a
+  coefficient vector with pattern . q >= 1.
+
+Both artifacts of every answer are re-checked before being returned.
 """
 
 from __future__ import annotations
@@ -28,11 +48,14 @@ from .core import (
     orth,
 )
 from .errors import ArtifactError, PreconditionError, VerificationError
-from .lp import LPCertificate, LPProblem, solve
+from .lp import LPProblem, solve
 
 F = Fraction
 
 Point = tuple[int, ...]
+
+# (point, sign, end) of one weight in _weigh's program
+Column = tuple[Point, int, Fraction]
 
 
 def bool_table(domain: Domain, ones: Iterable[Point]) -> FnTable:
@@ -46,13 +69,6 @@ def sign_table(f: FnTable) -> FnTable:
     for p in f.domain.points():
         out[p] = F(-1) if f(p) == 1 else F(1)
     return FnTable(f.domain, out, _trusted=True)
-
-
-def negate_inputs(f: FnTable) -> FnTable:
-    if not f.domain.is_hypercube:
-        raise PreconditionError("input negation defined on the hypercube")
-    flip = lambda p: tuple(1 - b for b in p)
-    return FnTable(f.domain, {flip(p): v for p, v in f.entries.items()}, _trusted=True)
 
 
 @dataclass
@@ -93,57 +109,87 @@ def poly_degree(coeffs: dict[Point, Fraction]) -> int:
     return max(degs) if degs else 0
 
 
-def _check_margin(primal: dict[Point, Fraction], alphas: list[Point],
-                  rows: list[list[int]], gamma: Fraction) -> None:
-    """Re-check (gamma/|X|) sum_p s_p q(p) + (1 - gamma) min_p s_p q(p) >= 1
-    in integers, over the common denominator of q's coefficients."""
-    den = lcm(*[c.denominator for c in primal.values()])
-    n_pts = len(rows[0])
-    sq = [0] * n_pts  # den * s_p * q(p)
-    for alpha, row in zip(alphas, rows):
-        c = primal.get(alpha)
+def _check_primal(q: list[Fraction], rows: list[list[int]], ends: list[Fraction],
+                  gamma: Fraction) -> None:
+    """Re-check (gamma/N) sum_v sigma_v q(p_v) + (1 - gamma) min_v (sigma_v
+    q(p_v) - e_v) >= gamma in integers, with rows[k][v] = sigma_v B_k(p_v):
+    sq_v = den * sigma_v q(p_v) and e_v = es_v / de over common denominators."""
+    den = lcm(*[c.denominator for c in q])
+    sq = [0] * len(ends)
+    for c, row in zip(q, rows):
         if c:
             k = c.numerator * (den // c.denominator)
             sq = [a + k * v for a, v in zip(sq, row)]
+    de = lcm(*[e.denominator for e in ends])
+    es = [e.numerator * (de // e.denominator) for e in ends]
     g, h = gamma.numerator, gamma.denominator
-    if g * sum(sq) + (h - g) * n_pts * min(sq) < den * n_pts * h:
+    n = len(ends) or 1
+    slack = min((de * a - den * e for a, e in zip(sq, es)), default=0)
+    if g * de * sum(sq) + (h - g) * n * slack < g * n * den * de:
         raise VerificationError("recovered polynomial lacks margin")
 
 
-def _ladder(f: FnTable, gamma: Fraction):
-    """The ladder of threshold_degree (gamma = 0) and smooth_threshold_degree.
+def _weigh(rows: list[list[int]], ends: list[Fraction], gamma: Fraction
+           ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """The program of the module docstring, rows[k][v] = sigma_v B_k(p_v)
+    and ends[v] = e_v.  Returns (x, None) when it is feasible, and else
+    (None, q) with q[k] the coefficient of B_k, re-checked by _check_primal."""
+    floor = F(gamma, len(ends) or 1)
+    prob = LPProblem(len(ends))
+    for row in rows:
+        prob.add(row, "==", -floor * sum(row))
+    prob.add(ends, "==", 1 - gamma)
+    cert = solve(prob)
+    if cert.status != "infeasible":
+        return cert.x, None
+    # y = (z, w): sigma_v z(p_v) + e_v w <= 0 and r = sum_i y_i b_i, so q = -z/r
+    # has sigma_v q(p_v) >= e_v w/r and (gamma/N) sum_v sigma_v q(p_v) = 1 - (1 - gamma) w/r
+    r = sum((y * F(b, d) for y, (_, _, b, d) in zip(cert.farkas, prob.rows) if y), F(0))
+    q = [-z / r for z in cert.farkas[:-1]]
+    _check_primal(q, rows, ends, gamma)
+    return None, q
 
-    Returns the value, the re-checked primal q, and the point nu of the
-    last feasible level keyed by domain point (None when the value is 0).
+
+def _ladder(domain: Domain, columns: list[Column], gamma: Fraction):
+    """_weigh against the monomials of degree < L at levels L = 1, 2, ...
+
+    Returns the value, the primal q of the first infeasible level, and the
+    weights x of the last feasible level (None when the value is 0).
     """
-    dom = f.domain
-    points = list(dom.points())
-    if not points:
-        raise PreconditionError("empty domain")
-    signs = [(-1 if f(p) == 1 else 1) for p in points]
-    n_pts = len(points)
-    floor = gamma / n_pts
-    rows: list[list[int]] = []  # rows[k][i] = signs[i] * table[k][i]
-    nu = None
-    for level, (alphas, table) in enumerate(_monomial_table(dom, points), start=1):
-        rows += [[s * v for s, v in zip(signs, vals)] for vals in table[len(rows):]]
-        prob = LPProblem(n_pts, nonneg=[True] * n_pts)
-        for row in rows:
-            prob.add(row, "==", -floor * sum(row))
-        prob.add([1] * n_pts, "==", 1 - gamma)
-        cert = solve(prob)
-        if cert.status == "infeasible":
-            # y = (z, w): s_p z(p) + w <= 0 and r = floor sum_p -s_p z(p) + (1 - gamma) w,
-            # so q = -z/r has s_p q(p) >= w/r and 1 = floor sum_p s_p q(p) + (1 - gamma) w/r
-            r = sum((y * F(b, d) for y, (_, _, b, d) in zip(cert.farkas, prob.rows) if y), F(0))
-            primal = {a: -z / r for a, z in zip(alphas, cert.farkas) if z}
+    rows: list[list[int]] = []
+    ends = [e for _, _, e in columns]
+    x = None
+    for level, (alphas, table) in enumerate(
+            _monomial_table(domain, [p for p, _, _ in columns]), start=1):
+        rows += [[s * v for (_, s, _), v in zip(columns, vals)] for vals in table[len(rows):]]
+        weights, q = _weigh(rows, ends, gamma)
+        if q is not None:
+            primal = {a: c for a, c in zip(alphas, q) if c}
             value = level - 1
             if poly_degree(primal) > value:
                 raise VerificationError("primal witness degree too high")
-            _check_margin(primal, alphas, rows, gamma)
-            return value, primal, nu
-        nu = dict(zip(points, cert.x))
+            return value, primal, x
+        x = weights
     raise ArtifactError("the full-degree level cannot be feasible")
+
+
+def _points(domain: Domain) -> list[Point]:
+    points = list(domain.points())
+    if not points:
+        raise PreconditionError("empty domain")
+    return points
+
+
+def _sign_columns(f: FnTable) -> list[Column]:
+    return [(p, -1 if f(p) == 1 else 1, F(1)) for p in _points(f.domain)]
+
+
+def _fold(domain: Domain, columns: list[Column], x: list[Fraction]) -> FnTable:
+    """sum_v sigma_v x_v at each point."""
+    out: dict[Point, Fraction] = {}
+    for (p, s, _), w in zip(columns, x):
+        out[p] = out.get(p, F(0)) + s * w
+    return FnTable(domain, out)
 
 
 def threshold_degree(f: FnTable) -> DegreeAnswer:
@@ -154,10 +200,11 @@ def threshold_degree(f: FnTable) -> DegreeAnswer:
     witness: a sign-agreeing probability weighting orthogonal to every
     polynomial of lower degree.
     """
-    value, primal, nu = _ladder(f, F(0))
+    columns = _sign_columns(f)
+    value, primal, x = _ladder(f.domain, columns, F(0))
     dual_witness: FnTable | None = None
-    if nu is not None:
-        dual_witness = FnTable(f.domain, nu).hadamard(sign_table(f))
+    if x is not None:
+        dual_witness = _fold(f.domain, columns, x)
         if not orth(dual_witness, cap=value - 1).ge(value):
             raise VerificationError("dual witness orthogonality failed re-check")
     return DegreeAnswer(value=value, primal=primal, dual=dual_witness)
@@ -173,12 +220,13 @@ def smooth_threshold_degree(f: FnTable, gamma: Fraction) -> DegreeAnswer:
     gamma = F(gamma)
     if gamma < 0 or gamma > 1:
         raise PreconditionError("gamma must lie in [0, 1]")
-    value, primal, nu = _ladder(f, gamma)
+    columns = _sign_columns(f)
+    value, primal, x = _ladder(f.domain, columns, gamma)
     best_mu: FnTable | None = None
-    if nu is not None:
-        floor = gamma / len(nu)
-        best_mu = FnTable(f.domain, {p: floor + v for p, v in nu.items()})
-        if best_mu.total() != 1 or any(best_mu(p) < floor for p in nu):
+    if x is not None:
+        floor = gamma / len(columns)
+        best_mu = FnTable(f.domain, {p: floor + v for (p, _, _), v in zip(columns, x)})
+        if best_mu.total() != 1 or any(best_mu(p) < floor for p, _, _ in columns):
             raise VerificationError("smooth witness failed distribution re-check")
         twisted = best_mu.hadamard(sign_table(f))
         if not orth(twisted, cap=value - 1).ge(value):
@@ -268,51 +316,24 @@ def iii_approx_degree(f: PartialFn, i0: Interval, i1: Interval, istar: Interval,
     """Least degree of a polynomial mapping the 0-, 1-, and star-points of f
     into the three intervals.  Threshold degree, eps-approximate degree and
     one-sided approximate degree are instances of this oracle.  The dual
-    (the previous level's Farkas multipliers folded per point) is re-checked
+    (the last feasible level's weights summed per point) is re-checked
     before being returned.
     """
     margin = F(margin)
     bands = {"0": i0.realized(margin), "1": i1.realized(margin), "*": istar.realized(margin)}
-    dom = f.domain
-    points = list(dom.points())
-    if not points:
-        raise PreconditionError("empty domain")
-    ends = {p: bands[f.value(p)] for p in points}
-    prev_cert: LPCertificate | None = None
-    for d, (alphas, table) in enumerate(_monomial_table(dom, points)):
-        prob = LPProblem(len(alphas))
-        for i, p in enumerate(points):
-            lo, hi = ends[p]
-            row = [vals[i] for vals in table]
-            if lo is not None:
-                prob.add(row, ">=", lo)
-            if hi is not None:
-                prob.add(row, "<=", hi)
-        cert = solve(prob)
-        if cert.status == "feasible":
-            coeffs = {a: c for a, c in zip(alphas, cert.x) if c}
-            dual = None
-            if prev_cert is not None:
-                # Farkas multipliers of the previous level, folded to one
-                # signed weight per point: the dual approximation witness
-                weights: dict[Point, Fraction] = {}
-                k = 0
-                for p in points:
-                    lo, hi = ends[p]
-                    w = F(0)
-                    if lo is not None:
-                        w += prev_cert.farkas[k]
-                        k += 1
-                    if hi is not None:
-                        w += prev_cert.farkas[k]
-                        k += 1
-                    if w:
-                        weights[p] = w
-                dual = FnTable(dom, weights)
-                _check_approx_dual(dual, d, ends)
-            return DegreeAnswer(value=d, primal=coeffs, dual=dual)
-        prev_cert = cert
-    raise VerificationError("no approximant up to the full interpolation degree")
+    ends = {p: bands[f.value(p)] for p in _points(f.domain)}
+    columns: list[Column] = []
+    for p, (lo, hi) in ends.items():
+        if lo is not None:
+            columns.append((p, 1, lo))
+        if hi is not None:
+            columns.append((p, -1, -hi))
+    value, primal, x = _ladder(f.domain, columns, F(0))
+    dual = None
+    if x is not None:
+        dual = _fold(f.domain, columns, x)
+        _check_approx_dual(dual, value, ends)
+    return DegreeAnswer(value=value, primal=primal, dual=dual)
 
 
 # ---------------------------------------------------------------- discrepancy
@@ -321,17 +342,36 @@ def iii_approx_degree(f: PartialFn, i0: Interval, i1: Interval, istar: Interval,
 MAX_GAME_SIDE_SUM = 16
 
 
+Rectangle = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 @dataclass
 class DiscrepancyAnswer:
     value: Fraction
     distribution: list[list[Fraction]]
-    best_rectangle: tuple[tuple[int, ...], tuple[int, ...]]
-    rectangle_mixture_support: int
+    best_rectangle: Rectangle
+    # (rectangle, sign) -> weight: pays at least value on every cell
+    mixture: dict[tuple[Rectangle, int], Fraction]
 
 
 def _nonempty_subsets(k: int):
     for mask in range(1, 2 ** k):
         yield tuple(i for i in range(k) if mask >> i & 1)
+
+
+def _check_mixture(matrix: Sequence[Sequence[int]],
+                   mixture: dict[tuple[Rectangle, int], Fraction], value: Fraction) -> None:
+    """Re-check that the mixture is a distribution over signed rectangles
+    paying at least value on every cell, sum w * sign * matrix[x][y] over the
+    rectangles holding (x, y).  Averaging over it, every distribution on the
+    cells has a signed rectangle of correlation >= value."""
+    if any(w < 0 for w in mixture.values()) or sum(mixture.values()) != 1:
+        raise VerificationError("rectangle mixture is not a distribution")
+    for x, row in enumerate(matrix):
+        for y, m in enumerate(row):
+            pay = sum(w * sgn for ((A, B), sgn), w in mixture.items() if x in A and y in B)
+            if pay * m < value:
+                raise VerificationError(f"rectangle mixture pays less than the value at {(x, y)}")
 
 
 def discrepancy_2party(matrix: Sequence[Sequence[int]]) -> DiscrepancyAnswer:
@@ -340,8 +380,11 @@ def discrepancy_2party(matrix: Sequence[Sequence[int]]) -> DiscrepancyAnswer:
     Solved as a matrix game: the distribution player minimizes, the
     rectangle player (rectangles with a sign) maximizes.  The optimum is
     certified on both sides: the returned distribution is re-checked by
-    enumerating every rectangle, and the rectangle mixture certifies that
-    no distribution does better.
+    enumerating every rectangle, and the returned rectangle mixture, which
+    pays at least the value on every cell, is re-checked to certify that no
+    distribution does better.  The value is positive (the uniform mixture of
+    singletons signed like the matrix pays on every cell), so the LP
+    variable v that holds it is nonnegative like the weights.
     """
     if not matrix or not matrix[0]:
         raise PreconditionError("empty matrix")
@@ -357,7 +400,7 @@ def discrepancy_2party(matrix: Sequence[Sequence[int]]) -> DiscrepancyAnswer:
             "use the closed-form evaluators in matrix_bounds instead")
     cells = [(x, y) for x in range(rows) for y in range(cols)]
     rects = [(A, B) for A in _nonempty_subsets(rows) for B in _nonempty_subsets(cols)]
-    columns: list[tuple[tuple[tuple[int, ...], tuple[int, ...]], int]] = []
+    columns: list[tuple[Rectangle, int]] = []
     for rect in rects:
         columns.append((rect, +1))
         columns.append((rect, -1))
@@ -370,7 +413,7 @@ def discrepancy_2party(matrix: Sequence[Sequence[int]]) -> DiscrepancyAnswer:
         return 0
 
     nq = len(columns)
-    prob = LPProblem(nq + 1, nonneg=[True] * nq + [False])
+    prob = LPProblem(nq + 1)
     for cell in cells:
         prob.add([payoff(c, cell) for c in columns] + [-1], ">=", 0)
     prob.add([1] * nq + [0], "==", 1)
@@ -398,10 +441,10 @@ def discrepancy_2party(matrix: Sequence[Sequence[int]]) -> DiscrepancyAnswer:
             best, best_rect = abs(s), (A, B)
     if best != value:
         raise VerificationError(f"distribution re-check mismatch: {best} vs {value}")
-    support = sum(1 for q in cert.x[:nq] if q)
+    mixture = {col: w for col, w in zip(columns, cert.x) if w}
+    _check_mixture(matrix, mixture, value)
     return DiscrepancyAnswer(value=value, distribution=dist,
-                             best_rectangle=best_rect,
-                             rectangle_mixture_support=support)
+                             best_rectangle=best_rect, mixture=mixture)
 
 
 # ------------------------------------------------------------------- density
@@ -421,9 +464,11 @@ class DensityAnswer:
 def threshold_density(f: FnTable, cap: int) -> DensityAnswer:
     """Minimum number of parities whose weighted sign sum represents f.
 
-    Searches set families in increasing size; each candidate family is a
-    tiny exact LP over its coefficient vector.  Returns cap+1 with
-    exceeded_cap=True when every family of size <= cap fails.
+    Searches set families in increasing size.  A family without an
+    antipodal pair of sign patterns is tested by _weigh, one column per
+    distinct pattern against the family's characters; its Farkas vector, if
+    any, gives the coefficients.  Returns cap+1 with exceeded_cap=True when
+    every family of size <= cap fails.
     """
     if cap < 0:
         raise PreconditionError("cap must be nonnegative")
@@ -452,13 +497,11 @@ def threshold_density(f: FnTable, cap: int) -> DensityAnswer:
             patterns = {tuple(v[i] for v in vecs) for i in range(npts)}
             if any(tuple(-c for c in pat) in patterns for pat in patterns):
                 continue  # antipodal pattern pair: no margin possible
-            prob = LPProblem(k)
-            for pat in sorted(patterns):
-                prob.add(pat, ">=", 1)
-            cert = solve(prob)
-            if cert.status == "feasible":
+            cols = sorted(patterns)
+            _, q = _weigh([*zip(*cols)], [F(1)] * len(cols), F(0))
+            if q is not None:
                 return DensityAnswer(value=k, family=family,
-                                     coefficients=cert.x, exceeded_cap=False)
+                                     coefficients=q, exceeded_cap=False)
     return DensityAnswer(value=cap + 1, family=None, coefficients=None, exceeded_cap=True)
 
 

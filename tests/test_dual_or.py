@@ -89,13 +89,12 @@ def test_psi_16():
 
 
 def test_psi_pos_neg_split_by_parity():
-    from ptfwitness.core import pos_neg_parts
-
     psi, _ = build_psi(8, 8, F(1, 3))
-    pos, neg = pos_neg_parts(psi)
-    assert all(t % 2 == 0 for (t,) in pos.entries)
-    assert all(t % 2 == 1 for (t,) in neg.entries)
-    assert pos.l1() == neg.l1() == F(1, 2)
+    pos = {p: v for p, v in psi.entries.items() if v > 0}
+    neg = {p: -v for p, v in psi.entries.items() if v < 0}
+    assert all(t % 2 == 0 for (t,) in pos)
+    assert all(t % 2 == 1 for (t,) in neg)
+    assert sum(pos.values()) == sum(neg.values()) == F(1, 2)
 
 
 def test_psi_padded_domain():

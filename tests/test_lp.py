@@ -31,7 +31,7 @@ def test_parity2_dual_feasibility():
     # threshold degree of two-bit parity exceeds 1
     pts = [(0, 0), (0, 1), (1, 0), (1, 1)]
     sign = [1, -1, -1, 1]
-    p = LPProblem(4, nonneg=[True] * 4)
+    p = LPProblem(4)
     p.add([F(s) for s in sign], "==", 0)
     p.add([F(s * x[0]) for s, x in zip(sign, pts)], "==", 0)
     p.add([F(s * x[1]) for s, x in zip(sign, pts)], "==", 0)
@@ -42,7 +42,7 @@ def test_parity2_dual_feasibility():
 
 def test_optimization_and_duals():
     # min -x - y st x + 2y <= 4, x <= 2, x,y >= 0 -> x=2, y=1
-    p = LPProblem(2, nonneg=[True, True])
+    p = LPProblem(2)
     p.add([1, 2], "<=", 4)
     p.add([1, 0], "<=", 2)
     p.objective = [F(-1), F(-1)]
@@ -54,7 +54,7 @@ def test_optimization_and_duals():
 
 
 def test_unbounded():
-    p = LPProblem(1, nonneg=[True])
+    p = LPProblem(1)
     p.add([1], ">=", 0)
     p.objective = [F(-1)]
     cert = solve(p)
@@ -63,21 +63,22 @@ def test_unbounded():
     assert cert.ray == [1]
 
 
-def test_unbounded_ray_through_free_and_slack_columns():
-    # min -x + y/2 over x >= 0 and a sign-free y, st x - y <= 1 and
-    # y >= -2: the objective falls along x = y, parallel to the first row
-    p = LPProblem(2, nonneg=[True, False])
+def test_unbounded_ray_through_slack_column():
+    # min -x + y/2 over x, y >= 0, st x - y <= 1 and y >= 2: the objective
+    # falls along x = y, parallel to the first row, so the ray moves the
+    # slack of y >= 2 and leaves the first row tight
+    p = LPProblem(2)
     p.add([1, -1], "<=", 1)
-    p.add([0, 1], ">=", -2)
+    p.add([0, 1], ">=", 2)
     p.objective = [F(-1), F(1, 2)]
     cert = solve(p)
     assert cert.status == "unbounded"
-    assert cert.x == [1, 0]
+    assert cert.x == [3, 2]
     assert cert.ray == [1, 1]
 
 
 def test_verify_rejects_bogus_unbounded():
-    p = LPProblem(1, nonneg=[True])
+    p = LPProblem(1)
     p.add([1], "<=", 3)
     p.objective = [F(-1)]
     with pytest.raises(VerificationError):
@@ -142,7 +143,7 @@ def solve_cert_with_bad_point():
 def random_lp(draw):
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 5))
-    p = LPProblem(n, nonneg=[draw(st.booleans()) for _ in range(n)])
+    p = LPProblem(n)
     for _ in range(m):
         coeffs = [F(draw(st.integers(-3, 3))) for _ in range(n)]
         rel = draw(st.sampled_from(["<=", ">=", "=="]))

@@ -34,10 +34,7 @@ def to_scipy(p: LPProblem):
         else:
             a_eq.append(row)
             b_eq.append(float(rhs))
-    bounds = []
-    nonneg = p.nonneg or [False] * n
-    for nn in nonneg:
-        bounds.append((0, None) if nn else (None, None))
+    bounds = [(0, None)] * n
     c = [float(x) for x in (p.objective or [F(0)] * n)]
     return dict(c=c, A_ub=np.array(a_ub) if a_ub else None,
                 b_ub=np.array(b_ub) if b_ub else None,
@@ -53,7 +50,7 @@ rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 6))
 def random_lp(draw, with_objective: bool):
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 5))
-    p = LPProblem(n, nonneg=[draw(st.booleans()) for _ in range(n)])
+    p = LPProblem(n)
     for _ in range(m):
         coeffs = [draw(rationals) for _ in range(n)]
         rel = draw(st.sampled_from(["<=", ">=", "=="]))
@@ -90,10 +87,10 @@ def test_optimum_agrees_with_float_solver(p):
         # end as status 4), so confirm it by two bounded float programs: the
         # constraints are feasible, and some recession direction r lowers
         # the objective, min c.r subject to the homogeneous rows and c.r >= -1
-        feas = LPProblem(p.n_vars, nonneg=p.nonneg)
+        feas = LPProblem(p.n_vars)
         feas.rows[:] = p.rows
         assert linprog(**to_scipy(feas)).status == 0
-        cone = LPProblem(p.n_vars, nonneg=p.nonneg, objective=p.objective)
+        cone = LPProblem(p.n_vars, objective=p.objective)
         for coeffs, rel, _ in fraction_rows(p):
             cone.add(coeffs, rel, 0)
         cone.add(p.objective, ">=", -1)

@@ -12,10 +12,12 @@ point and ray).
 The earlier Fraction verify_certificate, _check_point and _dot are kept
 verbatim too: the integer verify_certificate must accept a certificate,
 intact or mutated, exactly when they do.  Both references read the
-(coeffs, rel, rhs) Fraction triples of fraction_view.
+(coeffs, rel, rhs) Fraction triples of fraction_view, which also gives
+them the all-True sign mask of an LP whose variables are all nonnegative.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,10 +29,10 @@ from ptfwitness.lp import LPCertificate, LPProblem
 F = Fraction
 
 
-def fraction_view(p: LPProblem) -> LPProblem:
-    view = LPProblem(p.n_vars, p.objective, p.nonneg)
-    view.rows[:] = [([F(c, d) for c in a], rel, F(b, d)) for a, rel, b, d in p.rows]
-    return view
+def fraction_view(p: LPProblem) -> SimpleNamespace:
+    return SimpleNamespace(
+        n_vars=p.n_vars, objective=p.objective, nonneg=[True] * p.n_vars,
+        rows=[([F(c, d) for c in a], rel, F(b, d)) for a, rel, b, d in p.rows])
 
 
 # ------------------------------------------------------------ reference
@@ -304,7 +306,7 @@ rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 6))
 def rational_lp(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 5))
-    p = LPProblem(n, nonneg=[draw(st.booleans()) for _ in range(n)])
+    p = LPProblem(n)
     for _ in range(m):
         coeffs = [draw(rationals) for _ in range(n)]
         rel = draw(st.sampled_from(["<=", ">=", "=="]))
@@ -321,7 +323,7 @@ def test_same_answer_as_fraction_tableau(p):
 
 
 def test_unbounded_status_matches_reference():
-    p = LPProblem(2, nonneg=[True, False])
+    p = LPProblem(2)
     p.add([F(1, 2), F(-1, 3)], ">=", F(1, 4))
     p.objective = [F(-1, 5), F(0)]
     cert = assert_same_answer(p)

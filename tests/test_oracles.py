@@ -16,7 +16,6 @@ from ptfwitness.oracles import (
     discrepancy_2party,
     eval_poly,
     iii_approx_degree,
-    negate_inputs,
     or_table,
     parity_table,
     sign_table,
@@ -27,6 +26,11 @@ from ptfwitness.oracles import (
 )
 
 F = Fraction
+
+
+def negate_inputs(f):
+    """Test-side reference: f with every input bit flipped."""
+    return FnTable(f.domain, {tuple(1 - b for b in p): v for p, v in f.entries.items()})
 
 
 def negate_output(f):
@@ -161,12 +165,68 @@ def test_smooth_primal_certifies_upper_bound(n):
 def test_margin_recheck_rejects_short_polynomial():
     # f(x) = x on one bit: s = (1, -1); q = 1 - 2x has s q = (1, 1), while
     # q = 1 - x has s q = (1, 0), short of margin 1 at every gamma
-    alphas = [(0,), (1,)]
     rows = [[1, -1], [0, -1]]
+    ends = [F(1), F(1)]
     for gamma in (F(0), F(1, 2), F(1)):
-        oracles._check_margin({(0,): F(1), (1,): F(-2)}, alphas, rows, gamma)
+        oracles._check_primal([F(1), F(-2)], rows, ends, gamma)
         with pytest.raises(VerificationError):
-            oracles._check_margin({(0,): F(1), (1,): F(-1)}, alphas, rows, gamma)
+            oracles._check_primal([F(1), F(-1)], rows, ends, gamma)
+
+
+def test_primal_recheck_reads_interval_ends():
+    # one point with interval [1/3, 1/2]: columns (p, +1, 1/3) and (p, -1, -1/2)
+    rows = [[1, -1]]
+    ends = [F(1, 3), F(-1, 2)]
+    for c in (F(1, 3), F(2, 5), F(1, 2)):
+        oracles._check_primal([c], rows, ends, F(0))
+    for c in (F(1, 4), F(3, 5)):
+        with pytest.raises(VerificationError):
+            oracles._check_primal([c], rows, ends, F(0))
+
+
+def random_tables(seed, sizes, count):
+    rng = random.Random(seed)
+    for n in sizes:
+        dom = hypercube(n)
+        pts = list(dom.points())
+        for _ in range(count):
+            yield bool_table(dom, [p for p in pts if rng.random() < 0.5])
+
+
+def test_iii_threshold_intervals_match_threshold_degree():
+    # margin 1 on the threshold intervals gives the columns (p, s_p, 1) of
+    # threshold_degree, so both oracles solve the same programs
+    for f in random_tables(5, (2, 3, 4), 5):
+        iii = iii_approx_degree(total_fn(f), *THRESHOLD_INTERVALS)
+        thr = threshold_degree(f)
+        assert (iii.value, iii.primal, iii.dual) == (thr.value, thr.primal, thr.dual)
+
+
+def test_primal_recheck_rejects_perturbed_coefficient(monkeypatch):
+    # every gamma = 0 primal from the four oracles is tight on some column v;
+    # moving one coefficient q_k against sigma_v B_k(p_v) breaks the margin there
+    calls = []
+    check = oracles._check_primal
+    monkeypatch.setattr(oracles, "_check_primal",
+                        lambda *args: calls.append(args) or check(*args))
+    found = 0
+    for f in random_tables(7, (2, 3), 3):
+        threshold_degree(f)
+        smooth_threshold_degree(f, F(0))
+        for spec in (approx_intervals(F(1, 3)), one_sided_intervals(F(1, 4))):
+            iii_approx_degree(total_fn(f), *spec, margin=F(0))
+        found += not threshold_density(f, cap=3).exceeded_cap
+    assert found and len(calls) == 6 * 4 + found
+    for q, rows, ends, gamma in calls:
+        assert gamma == 0
+        slack = [sum(c * row[v] for c, row in zip(q, rows)) - e for v, e in enumerate(ends)]
+        v = slack.index(min(slack))
+        assert slack[v] == 0
+        k = next(k for k, row in enumerate(rows) if row[v])
+        bad = list(q)
+        bad[k] -= F(1, 7) if rows[k][v] > 0 else F(-1, 7)
+        with pytest.raises(VerificationError):
+            check(bad, rows, ends, gamma)
 
 
 def test_iii_single_variable():
@@ -263,6 +323,36 @@ def test_discrepancy_parity_4x4():
     ans = discrepancy_2party(m)
     # lower bound by singleton rectangles: 1/16; hadamard structure keeps it small
     assert F(1, 16) <= ans.value <= F(1, 2)
+
+
+def test_discrepancy_mixture_pays_value_on_every_cell():
+    rng = random.Random(3)
+    for rows, cols in ((1, 1), (2, 2), (2, 3), (3, 3)):
+        m = [[rng.choice((1, -1)) for _ in range(cols)] for _ in range(rows)]
+        ans = discrepancy_2party(m)
+        assert ans.mixture and all(w > 0 for w in ans.mixture.values())
+        assert sum(ans.mixture.values()) == 1
+        for x in range(rows):
+            for y in range(cols):
+                pay = sum(w * sgn * m[x][y] for ((A, B), sgn), w in ans.mixture.items()
+                          if x in A and y in B)
+                assert pay >= ans.value
+
+
+def test_discrepancy_mixture_check_rejects_mutated_weight():
+    # the uniform distribution is the only optimum of the 2x2 sign identity,
+    # so the mixture pays exactly the value on every cell
+    m = [[1, -1], [-1, 1]]
+    ans = discrepancy_2party(m)
+    oracles._check_mixture(m, ans.mixture, ans.value)
+    col, w = next(iter(ans.mixture.items()))
+    (rect, sgn) = col
+    for bad in ({**ans.mixture, col: 2 * w},
+                {**ans.mixture, col: -w},
+                {**{c: v for c, v in ans.mixture.items() if c != col}, (rect, -sgn): w},
+                {c: F(c == col) for c in ans.mixture}):
+        with pytest.raises(VerificationError):
+            oracles._check_mixture(m, bad, ans.value)
 
 
 def test_discrepancy_size_guard():
