@@ -94,7 +94,7 @@ def criterion_3_psi_certificates():
         here = (cert.l1 == 1 and sign_strict and cert.at_zero > F(1, 3)
                 and cert.orth_value >= cert.orth_claimed)
         # exhaustive monomial re-check at the claimed level
-        here = here and orth(psi, cap=cert.orth_claimed - 1).ge(cert.orth_claimed)
+        here = here and orth(psi, cap=cert.orth_claimed - 1) is None
         ok = ok and here
         details.append(f"n={n}: psi(0)={cert.at_zero} orth>={cert.orth_claimed}")
     return ok, "; ".join(details)
@@ -110,7 +110,7 @@ def criterion_4_corrector_suite():
             z, cert = build_zeta_cube(n, d)
             good = (z((1,) * n) == 1
                     and all(sum(p) <= d or p == (1,) * n for p in z.entries)
-                    and orth(z, cap=d).ge(d + 1)
+                    and orth(z, cap=d) is None
                     and cert.l1 <= cert.l1_bound)
             ok = ok and good
             count += 1
@@ -143,7 +143,7 @@ def criterion_6_rs_smooth():
     floor_ok = all(lam(p) >= floor for p in hypercube(8).points())
     bound = min(cert.d_psi, 2)
     twisted = lam.hadamard(mp_cube_sign(2, 4))
-    orth_ok = orth(twisted, cap=bound - 1).ge(bound)
+    orth_ok = orth(twisted, cap=bound - 1) is None
     lp = smooth_threshold_degree(mp_table(2, 4), F(1, 12 ** 3))
     ok = (cert.is_distribution and floor_ok and orth_ok and lp.value >= bound)
     return ok, (f"floor={floor} d_psi={cert.d_psi} bound={bound} "
@@ -277,7 +277,7 @@ def criterion_12_amplification_end_to_end():
     table = compose_table(f, 1, 4, theta=5)
     st = sign_table(table)
     twisted = lam.hadamard(FnTable(lam.domain, st.entries))
-    orth_ok = orth(twisted, cap=cert.orth_verified - 1).ge(cert.orth_verified)
+    orth_ok = orth(twisted, cap=cert.orth_verified - 1) is None
     lp = smooth_threshold_degree(table, cert.min_smooth_factor)
     ok = (lam.is_distribution() and orth_ok
           and cert.min_smooth_factor > 0 and lp.value >= cert.d)

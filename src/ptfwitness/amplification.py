@@ -27,8 +27,8 @@ from .core import (
     Domain,
     FnTable,
     box,
-    chi,
     hypercube,
+    least_poly_degree,
     orth,
     rehome,
     smoothness_constant,
@@ -81,8 +81,9 @@ class CompressionCertificate:
 def build_g(n: int) -> tuple[GMap, CompressionCertificate]:
     """Deterministic label encoding for n+1 labels on 6 ceil(log2(n+1)) bits.
 
-    Verifies exhaustively that every character of degree at most k has
-    equal averages over all label preimages, and that all labels occur.
+    Verifies that all labels occur and, on at most 12 bits, exhaustively
+    that every label preimage has the same moments of degree at most k as
+    label 0's, through `orth`.
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
@@ -111,26 +112,20 @@ def build_g(n: int) -> tuple[GMap, CompressionCertificate]:
     moments_ok = distance > k
     surjective = set(label_of.values()) == set(range(n + 1))
 
-    exhaustive = False
-    if width <= 12:
-        # additionally verify the moment equalities point by point
+    exhaustive = width <= 12
+    if exhaustive:
+        # additionally verify the moment equalities point by point: u_lab - u_0,
+        # u_lab uniform on label lab's preimage, is orthogonal to every
+        # monomial of degree <= k, which span the characters of degree <= k
         dom = hypercube(width)
-        counts: dict[int, int] = {}
-        subsets = [frozenset(c) for size in range(1, k + 1)
-                   for c in itertools.combinations(range(width), size)]
-        per_label = {lab: [F(0)] * len(subsets) for lab in range(n + 1)}
+        preimages: dict[int, list[Point]] = {}
         for p in dom.points():
-            lab = g.label(p)
-            counts[lab] = counts.get(lab, 0) + 1
-            row = per_label[lab]
-            for idx, S in enumerate(subsets):
-                row[idx] += chi(S, p)
-        surjective = surjective and all(counts.get(lab, 0) > 0 for lab in range(n + 1))
-        for idx in range(len(subsets)):
-            avgs = {per_label[lab][idx] / counts[lab] for lab in range(n + 1)}
-            if len(avgs) != 1:
-                moments_ok = False
-        exhaustive = True
+            preimages.setdefault(g.label(p), []).append(p)
+        surjective = surjective and len(preimages) == n + 1
+        u = {lab: FnTable(dom, dict.fromkeys(pts, F(1, len(pts))), _trusted=True)
+             for lab, pts in preimages.items()}
+        moments_ok = moments_ok and all(orth(u[lab] - u[0], cap=k) is None
+                                        for lab in u if lab)
     cert = CompressionCertificate(n=n, k=k, surjective=surjective,
                                   moments_ok=moments_ok, code_distance=distance,
                                   moments_exhaustive=exhaustive)
@@ -277,41 +272,25 @@ def booleanize(z: Point, m: int, r: int, d: int, theta: int,
     return reduced, cert
 
 
-def multilinear_coeffs(values: dict[Point, Fraction]) -> dict[frozenset[int], Fraction]:
-    """Exact multilinear interpolation over the hypercube by inclusion
-    and exclusion over subcubes."""
-    if not values:
-        raise PreconditionError("no values to interpolate")
-    n = len(next(iter(values)))
-    coeffs: dict[frozenset[int], Fraction] = {}
-    for S in itertools.chain.from_iterable(
-            itertools.combinations(range(n), k) for k in range(n + 1)):
-        S = frozenset(S)
-        acc = F(0)
-        for T in itertools.chain.from_iterable(
-                itertools.combinations(sorted(S), k) for k in range(len(S) + 1)):
-            T = frozenset(T)
-            point = tuple(1 if i in T else 0 for i in range(n))
-            acc += (-1) ** (len(S) - len(T)) * values[point]
-        if acc:
-            coeffs[S] = acc
-    return coeffs
-
-
 def z_degree_of_expectations(tables: dict[Point, FnTable],
                              poly: dict[Point, Fraction]) -> int:
     """Degree, in z, of z -> expectation of the polynomial under the z-indexed
-    distributions, computed by exact interpolation."""
+    distributions, over every z of a hypercube.  The multilinear interpolant
+    is unique, so its degree is the least degree of a fitting polynomial."""
     from .oracles import eval_poly
 
+    if not tables:
+        raise PreconditionError("no values to interpolate")
+    cube = hypercube(len(next(iter(tables))))
+    if len(tables) != cube.size() or not all(cube.contains(z) for z in tables):
+        raise PreconditionError("expectations must cover the whole hypercube")
     values = {}
     for z, table in tables.items():
         acc = F(0)
         for p, w in table.entries.items():
             acc += w * eval_poly(poly, p)
         values[z] = acc
-    coeffs = multilinear_coeffs(values)
-    return max((len(S) for S in coeffs), default=0)
+    return least_poly_degree(FnTable(cube, values))
 
 
 # ------------------------------------------------------------- composition
@@ -380,10 +359,9 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
         if mu(p) < floor:
             raise PreconditionError("stage mu-check: mu misses its pointwise floor")
     twisted = mu.hadamard(sign_table(f))
-    r_mu = orth(twisted, cap=n)
-    if r_mu.kind != "exact" or r_mu.value < 1:
+    d_f = orth(twisted)
+    if d_f is None or d_f < 1:
         raise PreconditionError("stage mu-check: mu witnesses nothing")
-    d_f = r_mu.value
 
     try:
         lam_0, lam_1, wit_cert = build_mp_smooth_witness(m, r, R)
@@ -470,8 +448,7 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
         raise ConstructionError("stage final: result is not a distribution")
 
     claimed = min(d_f * d_mp, d + 1)
-    verified = orth(final, cap=claimed - 1)
-    if not verified.ge(claimed):
+    if orth(final, cap=claimed - 1) is not None:
         raise ConstructionError("stage final: orthogonality fell short")
     factor = None
     for p, w in lam_star.entries.items():

@@ -22,11 +22,6 @@ def _check_bits(bits: int) -> None:
         raise PreconditionError("bits must be >= 0")
 
 
-def _round_down(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(x.numerator * scale // x.denominator, scale)
-
-
 def sqrt_lower(x: Fraction, bits: int = 32) -> Fraction:
     """Largest dyadic k/2^bits with (k/2^bits)^2 <= x."""
     _check_bits(bits)
@@ -186,52 +181,3 @@ def pow_brackets(base, exponent, bits: int = 24) -> Bracket:
     candidates = [e * log_lo, e * log_hi]
     x_lo, x_hi = min(candidates), max(candidates)
     return pow2_brackets(x_lo, bits)[0], pow2_brackets(x_hi, bits)[1]
-
-
-def root_brackets(base, p: int, q: int, bits: int = 24) -> Bracket:
-    """Enclose base**(p/q) for base >= 0 and q >= 1.
-
-    Small q uses exact dyadic binary search (comparisons are integer power
-    comparisons); larger q goes through logarithms.
-    """
-    _check_bits(bits)
-    base = Fraction(base)
-    if base < 0:
-        raise PreconditionError("root of a negative base")
-    if q < 1:
-        raise PreconditionError("root order must be >= 1")
-    if base == 0:
-        return (Fraction(0), Fraction(0)) if p > 0 else (Fraction(1), Fraction(1))
-    if p == 0:
-        return Fraction(1), Fraction(1)
-    if p < 0:
-        lo, hi = root_brackets(base, -p, q, bits)
-        return 1 / hi, 1 / lo
-    g = Fraction(p, q)
-    p, q = g.numerator, g.denominator
-    if q > 8 or abs(p) > 64:
-        return pow_brackets(base, Fraction(p, q), bits)
-    target_num = base.numerator ** p
-    target_den = base.denominator ** p
-
-    def leq(m: Fraction) -> bool:
-        return m.numerator ** q * target_den <= m.denominator ** q * target_num
-
-    hi = Fraction(1)
-    while not leq(hi):
-        hi /= 2
-    while leq(hi * 2):
-        hi *= 2
-    lo = hi
-    hi *= 2
-    for _ in range(bits + 4):
-        if hi - lo <= Fraction(1, 1 << bits):
-            break
-        mid = _round_down((lo + hi) / 2, bits + 8)
-        if mid <= lo or mid >= hi:
-            mid = (lo + hi) / 2
-        if leq(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -83,7 +82,6 @@ class Emitter:
     """Writes artifacts and accumulates the run manifest."""
 
     def __init__(self, out_dir: str | None, command: str, parameters: dict):
-        out_dir = out_dir or os.environ.get("PTFWITNESS_OUT")
         self.dir = Path(out_dir) if out_dir else None
         params = {}
         for k, v in parameters.items():

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Iterator, Mapping
 
-from .errors import PreconditionError
+from .errors import ArtifactError, PreconditionError
 
 Point = tuple[int, ...]
 
@@ -330,68 +330,53 @@ def monomials(bounds: tuple[int, ...], degree: int) -> Iterator[Point]:
         i += 1
 
 
-@dataclass(frozen=True)
-class OrthResult:
-    """Outcome of an orthogonal-content computation.
-
-    kind is one of "exact" (value attained, witness monomial recorded),
-    "at_least" (no monomial of degree <= cap had nonzero inner product),
-    or "infinite" (the zero function).
-    """
-
-    kind: str
-    value: int | None = None
-    witness: Point | None = None
-
-    @staticmethod
-    def exact(value: int, witness: Point) -> "OrthResult":
-        return OrthResult("exact", value, witness)
-
-    @staticmethod
-    def at_least(value: int) -> "OrthResult":
-        return OrthResult("at_least", value, None)
-
-    @staticmethod
-    def infinite() -> "OrthResult":
-        return OrthResult("infinite", None, None)
-
-    def ge(self, d: int) -> bool:
-        """True when orth is certainly >= d."""
-        return self.kind == "infinite" or self.value >= d
+def monomial_table(domain: Domain, points: list[Point]
+                   ) -> Iterator[tuple[list[Point], list[list[int]]]]:
+    """For d = 0 .. sum(bounds), the monomials alphas of degree <= d and
+    their values table[k][i] = points[i]^alphas[k]; each yield extends the
+    same two lists.  At the last d they span every function on the domain."""
+    alphas: list[Point] = []
+    table: list[list[int]] = []
+    for d in range(sum(domain.bounds) + 1):
+        for a in monomials(domain.bounds, d):
+            alphas.append(a)
+            table.append([eval_monomial(p, a) for p in points])
+        yield alphas, table
 
 
-def default_orth_cap(domain: Domain) -> int:
-    return domain.n * max(domain.bounds) if max(domain.bounds) else domain.n
-
-
-def orth(f: FnTable, cap: int | None = None) -> OrthResult:
-    """Least total degree of a monomial with nonzero inner product against f.
+def orth(f: FnTable, cap: int | None = None) -> int | None:
+    """Least total degree d <= cap of a monomial with nonzero inner product
+    against f, or None when there is none.
 
     Monomials of degree < d span every polynomial of degree < d on the box,
-    so scanning them in degree order decides the least degree exactly.  The
-    scan stops at `cap`; if nothing was found the result is "at_least cap+1".
+    so scanning them in degree order decides the least degree exactly:
+    `orth(f, cap=d) is None` says f is orthogonal to every polynomial of
+    degree <= d, and `orth(f)` is the exact orthogonal content, None only
+    for the zero table.  Without a cap the scan stops at sum(bounds), above
+    which there are no monomials.
 
     The scan runs in integers: the table is scaled once by the lcm `den` of
     its denominators to weights w_p = den * f(p), and each inner product
     sum_p w_p * p^alpha is a Python int, nonzero exactly when <f, x^alpha> is.
     """
+    top = sum(f.domain.bounds)
+    if cap is not None:
+        if cap < 0:
+            raise PreconditionError("cap must be >= 0")
+        top = min(cap, top)
     if f.is_zero():
-        return OrthResult.infinite()
-    if cap is None:
-        cap = default_orth_cap(f.domain)
-    if cap < 0:
-        raise PreconditionError("cap must be >= 0")
+        return None
     den = lcm(*[v.denominator for v in f.entries.values()])
     items = [(p, v.numerator * (den // v.denominator)) for p, v in f.entries.items()]
     bounds = f.domain.bounds
-    for d in range(cap + 1):
+    for d in range(top + 1):
         for alpha in monomials(bounds, d):
             acc = 0
             for p, w in items:
                 acc += w * eval_monomial(p, alpha)
             if acc:
-                return OrthResult.exact(d, alpha)
-    return OrthResult.at_least(cap + 1)
+                return d
+    return None
 
 
 def tensor(f: FnTable, g: FnTable) -> FnTable:
@@ -558,26 +543,21 @@ def smoothness_constant(f: FnTable, weight_cap: int | None = None) -> Fraction |
     return best
 
 
-def least_poly_degree(f: FnTable, max_deg: int | None = None) -> int | None:
+def least_poly_degree(f: FnTable) -> int:
     """Least d such that some polynomial of total degree <= d agrees with f
-    everywhere on its domain, decided by exact linear solves.
-
-    Returns None when no degree <= max_deg fits.
-    """
+    everywhere on its domain, decided by exact linear solves of one system
+    that gains the monomials of each degree as d grows."""
     from .linalg import solve_consistent
 
-    dom = f.domain
-    pts = list(dom.points())
-    values = [f(p) for p in pts]
-    if all(v == 0 for v in values):
+    if f.is_zero():
         return 0
-    hard_cap = sum(dom.bounds)
-    if max_deg is None:
-        max_deg = hard_cap
-    basis: list[Point] = []
-    for d in range(min(max_deg, hard_cap) + 1):
-        basis.extend(monomials(dom.bounds, d))
-        A = [[Fraction(eval_monomial(p, a)) for a in basis] for p in pts]
-        if solve_consistent(A, values) is not None:
+    pts = list(f.domain.points())
+    values = [f(p) for p in pts]
+    system: list[list[Fraction]] = [[] for _ in pts]  # system[i][k] = pts[i]^alphas[k]
+    for d, (_, table) in enumerate(monomial_table(f.domain, pts)):
+        for vals in table[len(system[0]):]:
+            for row, v in zip(system, vals):
+                row.append(Fraction(v))
+        if solve_consistent(system, values) is not None:
             return d
-    return None
+    raise ArtifactError("the full-degree monomials span every function")

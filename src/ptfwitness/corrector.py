@@ -94,7 +94,7 @@ def build_zeta_u(u: Point, d: int) -> tuple[FnTable, CorrectorCertificate]:
         raise ConstructionError("anchored corrector lost its anchor value")
     if table.l1() > bound:
         raise ConstructionError("anchored corrector l1 exceeds its bound")
-    if not orth(table, cap=d).ge(d + 1):
+    if orth(table, cap=d) is not None:
         raise ConstructionError("anchored corrector failed orthogonality")
     return table, cert
 
@@ -122,6 +122,6 @@ def build_zeta_uv(u: Point, v: Point, d: int) -> tuple[FnTable, CorrectorCertifi
                                 determinant=base_cert.determinant, anchor=u, base=v)
     if table(u) != 1 or table.l1() > cert.l1_bound:
         raise ConstructionError("two-point corrector failed its metric checks")
-    if not orth(table, cap=d).ge(d + 1):
+    if orth(table, cap=d) is not None:
         raise ConstructionError("two-point corrector failed orthogonality")
     return table, cert

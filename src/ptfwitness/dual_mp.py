@@ -149,8 +149,7 @@ def build_mp_witness(m: int, r: int
     mix0 = ProductMixture(factors, terms)
     mix1 = ProductMixture(factors, [(F(1), ("l1",) * m)])
 
-    diff01 = orth(lam2 - lam0, cap=r)
-    claimed = min(gadget.d_gadget, m * diff01.value)
+    claimed = min(gadget.d_gadget, m * orth(lam2 - lam0))
     mp_star = mp_star_table(m, r)
     orth_value = None
     supports_ok = True
@@ -164,10 +163,9 @@ def build_mp_witness(m: int, r: int
             for p in dist.entries:
                 if mp_star(p) != want:
                     supports_ok = False
-        value = orth(d1 - d0, cap=m * r)
-        if value.kind != "exact":
+        orth_value = orth(d1 - d0)
+        if orth_value is None:
             raise ConstructionError("witness difference unexpectedly zero")
-        orth_value = value.value
         if orth_value < claimed:
             raise ConstructionError(
                 f"dense orthogonality {orth_value} below claimed {claimed}")
@@ -235,8 +233,7 @@ def build_mp_smooth_witness(m: int, r: int, R: int
     lam_0 = ProductMixture(factors, pos_terms).scale(2 / z)
     lam_1 = ProductMixture(factors, neg_terms).scale(2 / z)
 
-    diff = orth(lam2 - lam0, cap=R)
-    claimed = min(gadget.d_gadget, m * diff.value)
+    claimed = min(gadget.d_gadget, m * orth(lam2 - lam0))
     mp_star = mp_star_table(m, R)
 
     dense_dom = Domain((R,) * m)
@@ -253,8 +250,8 @@ def build_mp_smooth_witness(m: int, r: int, R: int
     )
     if not supports_equal:
         raise ConstructionError("smooth witness supports are not the full preimages")
-    value = orth(d0 - d1, cap=m * R)
-    if value.kind != "exact" or value.value < claimed:
+    value = orth(d0 - d1)
+    if value is None or value < claimed:
         raise ConstructionError("smooth witness lost its orthogonality")
 
     half = (d0 + d1).scale(F(1, 2))
@@ -299,7 +296,7 @@ def build_mp_smooth_witness(m: int, r: int, R: int
     if not factor_family_ok:
         raise ConstructionError("gadget factor left its translate-smooth family")
     cert = MPSmoothCertificate(m=m, r=r, R=R, gadget=gadget, orth_claimed=claimed,
-                               orth_value=value.value, supports_equal=supports_equal,
+                               orth_value=value, supports_equal=supports_equal,
                                k_actual=k_actual, k_claimed=k_claimed,
                                k_gadget=k_gadget, k_factor=k_factor,
                                factor_family_ok=factor_family_ok,
@@ -387,13 +384,13 @@ def build_rs_smooth(m: int, r: int) -> tuple[FnTable, RsSmoothCertificate]:
     is_dist = lam.is_distribution()
     twisted = lam.hadamard(mp_cube_sign(m, r))
     claimed = min(d_psi, m)
-    value = orth(twisted, cap=m * r)
-    if value.kind != "exact" or value.value < claimed:
+    value = orth(twisted)
+    if value is None or value < claimed:
         raise ConstructionError("min-smooth witness lost its orthogonality")
     if not (floor_ok and is_dist):
         raise ConstructionError("min-smooth witness failed floor or norm checks")
     cert = RsSmoothCertificate(m=m, r=r, delta=delta, d_psi=d_psi,
-                               orth_claimed=claimed, orth_value=value.value,
+                               orth_claimed=claimed, orth_value=value,
                                floor=floor, floor_ok=floor_ok,
                                is_distribution=is_dist, psi_cert=psi_cert)
     return lam, cert

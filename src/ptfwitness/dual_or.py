@@ -91,12 +91,12 @@ def build_omega(n: int, eps) -> tuple[FnTable, OmegaCertificate]:
     heavy = at_zero > (1 - spec.eps) / 2 * l1
     sign_ok = all((v > 0) == (t % 2 == 0) for (t,), v in table.entries.items())
     claimed = 1 if spec.fallback else spec.d + 2
-    r = orth(table, cap=n)
-    if r.kind != "exact":
+    r = orth(table)
+    if r is None:
         raise ConstructionError("omega unexpectedly orthogonal to everything")
     cert = OmegaCertificate(spec=spec, l1=l1, at_zero=at_zero, heavy_at_zero=heavy,
-                            sign_ok=sign_ok, orth_claimed=claimed, orth_value=r.value)
-    if not heavy or not sign_ok or r.value < claimed:
+                            sign_ok=sign_ok, orth_claimed=claimed, orth_value=r)
+    if not heavy or not sign_ok or r < claimed:
         raise ConstructionError(f"omega failed its own certificate: {cert}")
     return table, cert
 
@@ -206,8 +206,8 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3), delta=None,
         raise ConstructionError(
             f"psi(0) = {at_zero} <= (1-eps)/2; delta {delta} too large, retry smaller")
     claimed = omega_cert.orth_claimed
-    r = orth(table, cap=N)
-    if r.kind != "exact" or r.value < claimed:
+    r = orth(table)
+    if r is None or r < claimed:
         raise ConstructionError("psi lost the orthogonality of omega")
 
     # envelope constants, with per-t dyadic brackets for 2^(c'' t / sqrt(n))
@@ -225,7 +225,7 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3), delta=None,
 
     cert = PsiCertificate(n=n, N=N, eps=eps, delta=delta, l1=table.l1(),
                           at_zero=at_zero, sign_ok=sign_ok,
-                          orth_claimed=claimed, orth_value=r.value,
+                          orth_claimed=claimed, orth_value=r,
                           c_prime=c_prime, c_double_prime=cpp,
                           envelope_brackets=brackets, omega_cert=omega_cert,
                           psi_values=psi_vals)

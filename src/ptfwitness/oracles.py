@@ -37,14 +37,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Domain,
     FnTable,
     eval_monomial,
     hypercube,
-    monomials,
+    monomial_table,
     orth,
 )
 from .errors import ArtifactError, PreconditionError, VerificationError
@@ -82,31 +82,12 @@ class DegreeAnswer:
     gamma: Fraction | None = None
 
 
-def _monomial_table(domain: Domain, points: list[Point]
-                    ) -> Iterator[tuple[list[Point], list[list[int]]]]:
-    """For d = 0 .. sum(bounds), the monomials alphas of degree <= d and
-    their values table[k][i] = points[i]^alphas[k]; each yield extends the
-    same two lists.  At the last d they span every function on the domain."""
-    alphas: list[Point] = []
-    table: list[list[int]] = []
-    for d in range(sum(domain.bounds) + 1):
-        for a in monomials(domain.bounds, d):
-            alphas.append(a)
-            table.append([eval_monomial(p, a) for p in points])
-        yield alphas, table
-
-
 def eval_poly(coeffs: dict[Point, Fraction], p: Point) -> Fraction:
     acc = F(0)
     for alpha, c in coeffs.items():
         if c:
             acc += c * eval_monomial(p, alpha)
     return acc
-
-
-def poly_degree(coeffs: dict[Point, Fraction]) -> int:
-    degs = [sum(a) for a, c in coeffs.items() if c]
-    return max(degs) if degs else 0
 
 
 def _check_primal(q: list[Fraction], rows: list[list[int]], ends: list[Fraction],
@@ -160,15 +141,12 @@ def _ladder(domain: Domain, columns: list[Column], gamma: Fraction):
     ends = [e for _, _, e in columns]
     x = None
     for level, (alphas, table) in enumerate(
-            _monomial_table(domain, [p for p, _, _ in columns]), start=1):
+            monomial_table(domain, [p for p, _, _ in columns]), start=1):
         rows += [[s * v for (_, s, _), v in zip(columns, vals)] for vals in table[len(rows):]]
         weights, q = _weigh(rows, ends, gamma)
         if q is not None:
             primal = {a: c for a, c in zip(alphas, q) if c}
-            value = level - 1
-            if poly_degree(primal) > value:
-                raise VerificationError("primal witness degree too high")
-            return value, primal, x
+            return level - 1, primal, x
         x = weights
     raise ArtifactError("the full-degree level cannot be feasible")
 
@@ -205,7 +183,7 @@ def threshold_degree(f: FnTable) -> DegreeAnswer:
     dual_witness: FnTable | None = None
     if x is not None:
         dual_witness = _fold(f.domain, columns, x)
-        if not orth(dual_witness, cap=value - 1).ge(value):
+        if orth(dual_witness, cap=value - 1) is not None:
             raise VerificationError("dual witness orthogonality failed re-check")
     return DegreeAnswer(value=value, primal=primal, dual=dual_witness)
 
@@ -229,7 +207,7 @@ def smooth_threshold_degree(f: FnTable, gamma: Fraction) -> DegreeAnswer:
         if best_mu.total() != 1 or any(best_mu(p) < floor for p, _, _ in columns):
             raise VerificationError("smooth witness failed distribution re-check")
         twisted = best_mu.hadamard(sign_table(f))
-        if not orth(twisted, cap=value - 1).ge(value):
+        if orth(twisted, cap=value - 1) is not None:
             raise VerificationError("smooth witness orthogonality failed re-check")
     return DegreeAnswer(value=value, primal=primal, dual=best_mu, gamma=gamma)
 
@@ -299,7 +277,7 @@ def _check_approx_dual(dual: FnTable, value: int,
     """Re-check the folded dual w of iii_approx_degree: orthogonal to every
     monomial of degree < value, and sum_p w_p * (lo_p if w_p > 0 else hi_p)
     > 0, so no polynomial of degree < value maps each p into [lo_p, hi_p]."""
-    if not orth(dual, cap=value - 1).ge(value):
+    if orth(dual, cap=value - 1) is not None:
         raise VerificationError("approximation dual not orthogonal below the value")
     total = F(0)
     for p, w in dual.entries.items():

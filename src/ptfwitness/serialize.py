@@ -30,12 +30,11 @@ def parse_frac(s: str) -> Fraction:
 
 def to_jsonable(obj):
     """Recursive encoder: fractions to "p/q", tuples to lists, dataclasses
-    to tagged dicts, tables and domains to their schemas."""
+    to tagged dicts, tables and domains to their schemas.  A float, like any
+    other unknown type, raises PreconditionError."""
     if isinstance(obj, Fraction):
         return frac_str(obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
         return obj
     if isinstance(obj, Domain):
         return domain_to_json(obj)

@@ -304,7 +304,7 @@ def build_Zu(lam: FnTable, u: Point, d: int, theta: int) -> tuple[FnTable, ZuCer
     diam = _diam(set(lam.entries) | {u})
     support_ok = all(sum(p) <= theta or p == u for p in zu.entries)
     at_u = zu(u)
-    orth_ok = orth(zu, cap=d).ge(d + 1)
+    orth_ok = orth(zu, cap=d) is None
     l1_bound = F(2 ** d * comb(diam, d) + 1)
     outside = F(0)
     for p, v in zu.entries.items():
@@ -359,7 +359,7 @@ def zero_out_heavy(phi: FnTable, d: int, theta: int) -> tuple[FnTable, ZeroOutCe
     phi_t = FnTable(dom, acc, _trusted=True)
     support_ok = all(sum(p) <= theta for p in phi_t.entries)
     diff = phi - phi_t
-    orth_ok = orth(diff, cap=d).ge(d + 1)
+    orth_ok = orth(diff, cap=d) is None
     heavy_l1 = sum((abs(v) for v in heavy.values()), F(0))
     factor = F(0)
     for p in dom.points():
@@ -417,7 +417,7 @@ def _reduce_terms(mix: ProductMixture, d: int, reduce_term):
     ambient = mix.ambient_domain()
     total_t = FnTable(ambient, total, _trusted=True)
     dense_t = FnTable(ambient, dense, _trusted=True)
-    orth_ok = orth(dense_t - total_t, cap=d).ge(d + 1)
+    orth_ok = orth(dense_t - total_t, cap=d) is None
     return total_t, dense_t, done, orth_ok
 
 
@@ -511,7 +511,7 @@ def redistribute(phi: FnTable, lam_star: FnTable, d: int, theta: int
         sgn = 1 if phi(u) >= 0 else -1
         add_scaled(acc, l1 / N * sgn * w, zu.entries)
     phi_star = FnTable(dom, acc, _trusted=True)
-    orth_ok = orth(phi - phi_star, cap=d).ge(d + 1)
+    orth_ok = orth(phi - phi_star, cap=d) is None
     l1_ok = phi_star.l1() <= 2 * l1
     sign_ok = all(phi(p) * phi_star(p) >= 0 for p in region)
     guaranteed = l1 / N
@@ -600,7 +600,7 @@ def weight_reduce(mix: ProductMixture, d: int, theta: int,
     reduced = dense - zeta_t
     support_ok = all(sum(p) < 2 * theta and p in dense.entries
                      for p in reduced.entries)
-    orth_ok = (not heavy) or orth(zeta_t, cap=d).ge(d + 1)
+    orth_ok = (not heavy) or orth(zeta_t, cap=d) is None
     statistical_factor = None
     bound_lower = None
     if family is not None:

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptfwitness.amplification import (
     CompressionMap,
@@ -11,7 +13,6 @@ from ptfwitness.amplification import (
     build_g,
     compose_table,
     min_smooth_amplify,
-    multilinear_coeffs,
     z_degree_of_expectations,
 )
 from ptfwitness.circuits import literal, mp, parity2_circuit
@@ -21,6 +22,8 @@ from ptfwitness.errors import PreconditionError
 from ptfwitness.oracles import bool_table, eval_poly, sign_table, smooth_threshold_degree
 
 F = Fraction
+
+Point = tuple[int, ...]
 
 
 def test_build_g_n1_layout():
@@ -110,6 +113,98 @@ def test_booleanize_preconditions_reject():
         booleanize((0, 1), 2, 2, d=1, theta=4)
 
 
+# multilinear_coeffs as it was before z_degree_of_expectations went through
+# least_poly_degree, and build_g's moment loop before it went through orth
+
+
+def multilinear_coeffs(values: dict[Point, Fraction]) -> dict[frozenset[int], Fraction]:
+    """Exact multilinear interpolation over the hypercube by inclusion
+    and exclusion over subcubes."""
+    if not values:
+        raise PreconditionError("no values to interpolate")
+    n = len(next(iter(values)))
+    coeffs: dict[frozenset[int], Fraction] = {}
+    for S in itertools.chain.from_iterable(
+            itertools.combinations(range(n), k) for k in range(n + 1)):
+        S = frozenset(S)
+        acc = F(0)
+        for T in itertools.chain.from_iterable(
+                itertools.combinations(sorted(S), k) for k in range(len(S) + 1)):
+            T = frozenset(T)
+            point = tuple(1 if i in T else 0 for i in range(n))
+            acc += (-1) ** (len(S) - len(T)) * values[point]
+        if acc:
+            coeffs[S] = acc
+    return coeffs
+
+
+def chi_moments_ok(label, n, k, width):
+    """Every character of degree 1..k has equal averages over the preimages
+    of the labels 0..n under `label`."""
+    moments_ok = True
+    dom = hypercube(width)
+    counts: dict[int, int] = {}
+    subsets = [frozenset(c) for size in range(1, k + 1)
+               for c in itertools.combinations(range(width), size)]
+    per_label = {lab: [F(0)] * len(subsets) for lab in range(n + 1)}
+    for p in dom.points():
+        lab = label(p)
+        counts[lab] = counts.get(lab, 0) + 1
+        row = per_label[lab]
+        for idx, S in enumerate(subsets):
+            row[idx] += chi(S, p)
+    for idx in range(len(subsets)):
+        avgs = {per_label[lab][idx] / counts[lab] for lab in range(n + 1)}
+        if len(avgs) != 1:
+            moments_ok = False
+    return moments_ok
+
+
+def orth_moments_ok(label, n, k, width):
+    """build_g's route: u_lab - u_0 orthogonal to every monomial of degree
+    <= k, u_lab uniform on the preimage of lab."""
+    dom = hypercube(width)
+    preimages = {}
+    for p in dom.points():
+        preimages.setdefault(label(p), []).append(p)
+    u = {lab: FnTable(dom, dict.fromkeys(pts, F(1, len(pts)))) for lab, pts in preimages.items()}
+    return all(orth(u[lab] - u[0], cap=k) is None for lab in range(1, n + 1))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(-4, 4), min_size=2 ** n, max_size=2 ** n)),
+    st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_z_degree_matches_multilinear_reference(coeffs, d):
+    # coeffs[mask] is the coefficient of prod_{i in mask} z_i, kept for
+    # |mask| <= d; a point mass of weight v_z per z, against the constant
+    # polynomial, has expectation v_z, so the z-degree is the interpolant's
+    n = (len(coeffs) - 1).bit_length()
+    values = {}
+    for z in hypercube(n).points():
+        zmask = sum(b << i for i, b in enumerate(z))
+        values[z] = F(sum(c for mask, c in enumerate(coeffs)
+                          if mask & zmask == mask and bin(mask).count("1") <= d))
+    tables = {z: FnTable(box([1]), {(0,): v}) for z, v in values.items()}
+    old = max((len(S) for S in multilinear_coeffs(values)), default=0)
+    assert z_degree_of_expectations(tables, {(0,): F(1)}) == old <= d
+
+
+def test_build_g_moments_match_chi_reference():
+    for n in (1, 2, 3):
+        g, cert = build_g(n)
+        assert cert.moments_exhaustive
+        assert cert.moments_ok and chi_moments_ok(g.label, n, g.k, g.width)
+        assert orth_moments_ok(g.label, n, g.k, g.width)
+        # move one point of label 1's preimage to label 0
+        moved = next(p for p in hypercube(g.width).points() if g.label(p) == 1)
+
+        def label(p, moved=moved):
+            return 0 if p == moved else g.label(p)
+
+        assert not orth_moments_ok(label, n, g.k, g.width)
+
+
 def test_multilinear_coeffs_parity():
     values = {p: F(chi(frozenset([0, 1]), p)) for p in hypercube(2).points()}
     coeffs = multilinear_coeffs(values)
@@ -141,9 +236,10 @@ def test_compose_table_rejects_non_hypercube_outer_function():
 
 def test_empty_inputs_raise_precondition_errors():
     with pytest.raises(PreconditionError):
-        multilinear_coeffs({})
-    with pytest.raises(PreconditionError):
         z_degree_of_expectations({}, {(0,): F(1)})
+    one = FnTable(box([1]), {(0,): F(1)})
+    with pytest.raises(PreconditionError):
+        z_degree_of_expectations({(0, 0): one, (1, 1): one}, {(0,): F(1)})
     with pytest.raises(PreconditionError, match="z is empty"):
         booleanize((), 1, 1, d=1, theta=2, enforce_preconditions=False)
 
@@ -167,7 +263,7 @@ def test_min_smooth_amplify_smallest():
     table = compose_table(f, 1, 4, theta=5)
     st = sign_table(table)
     twisted = lam.hadamard(FnTable(lam.domain, st.entries))
-    assert orth(twisted, cap=cert.orth_verified - 1).ge(cert.orth_verified)
+    assert orth(twisted, cap=cert.orth_verified - 1) is None
     ans = smooth_threshold_degree(table, cert.min_smooth_factor)
     assert ans.value >= cert.d
 
@@ -183,7 +279,7 @@ def test_min_smooth_amplify_with_live_tail_stage():
     table = compose_table(f, 1, 7, theta=6)
     st = sign_table(table)
     twisted = lam.hadamard(FnTable(lam.domain, st.entries))
-    assert orth(twisted, cap=cert.orth_verified - 1).ge(cert.orth_verified)
+    assert orth(twisted, cap=cert.orth_verified - 1) is None
     lp = smooth_threshold_degree(table, cert.min_smooth_factor)
     assert lp.value >= cert.d
 

@@ -10,7 +10,6 @@ from ptfwitness.brackets import (
     ln_brackets,
     pow2_brackets,
     pow_brackets,
-    root_brackets,
     sqrt_brackets,
     sqrt_lower,
     sqrt_upper,
@@ -51,13 +50,6 @@ def test_pow2_brackets(num, den):
     assert lo > 0
 
 
-def test_root_brackets_sides():
-    # lo^q <= base^p <= hi^q, verified exactly
-    base, p, q = F(3, 2), 5, 3
-    lo, hi = root_brackets(base, p, q)
-    assert lo**q <= base**p <= hi**q
-
-
 def test_pow_brackets_fraction_base():
     lo, hi = pow_brackets(F(1, 2), F(7, 2))
     v = 0.5**3.5
@@ -72,7 +64,6 @@ def test_negative_bits_rejected():
         lambda: sqrt_upper(F(2), bits=-1),
         lambda: inv_sqrt_brackets(3, bits=-1),
         lambda: pow_brackets(F(3), F(1, 2), bits=-1),
-        lambda: root_brackets(F(3), 1, 2, bits=-1),
     ]
     for call in calls:
         with pytest.raises(PreconditionError):

@@ -4,10 +4,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from ptfwitness.circuits import mp
 from ptfwitness.cli import main
 from ptfwitness.core import FnTable, box
 from ptfwitness.dual_or import build_psi
+from ptfwitness.errors import PreconditionError
 from ptfwitness.mixtures import ProductMixture
 from ptfwitness.serialize import (
     circuit_from_json,
@@ -30,6 +33,8 @@ def test_rationals_never_floats():
     t = FnTable(box([2]), {(1,): F(1, 3)})
     text = dumps(t)
     assert "0.3" not in text and "1/3" in text
+    with pytest.raises(PreconditionError):
+        dumps(0.5)
 
 
 def mixture_from_json(data):

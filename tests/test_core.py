@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ptfwitness.core import (
     Domain,
     FnTable,
-    OrthResult,
     box,
     chi,
-    default_orth_cap,
     eval_monomial,
     fourier,
     hypercube,
@@ -72,25 +70,27 @@ def test_inner_product_dim_mismatch():
 
 def test_orth_simple():
     f = FnTable(hypercube(1), {(0,): F(1), (1,): F(-1)})
-    r = orth(f)
-    assert r.kind == "exact" and r.value == 1
+    assert orth(f) == 1
     parity = char_table(2, [0, 1])
-    assert orth(parity).value == 2
+    assert orth(parity) == 2
     zero = FnTable(hypercube(2), {})
-    assert orth(zero).kind == "infinite"
+    assert orth(zero) is None
 
 
 def test_orth_cap():
     parity = char_table(3, [0, 1, 2])
-    r = orth(parity, cap=1)
-    assert r.kind == "at_least" and r.value == 2
+    assert orth(parity, cap=1) is None
+    assert orth(parity, cap=3) == orth(parity) == 3
+    for f in (parity, FnTable(hypercube(3), {})):
+        with pytest.raises(PreconditionError):
+            orth(f, cap=-1)
 
 
 def test_tensor_orth_additivity_parity():
     f = FnTable(hypercube(1), {(0,): F(1), (1,): F(-1)})
-    assert orth(tensor(f, f)).value == 2
+    assert orth(tensor(f, f)) == 2
     zero = FnTable(hypercube(1), {})
-    assert orth(tensor(f, zero)).kind == "infinite"
+    assert orth(tensor(f, zero)) is None
 
 
 def test_fourier_characters_and_constant():
@@ -138,7 +138,7 @@ def test_lift_of_or_dual_preserves_orth():
     psi, cert = build_psi(4, 4, F(1, 3))
     lifted = lift_symmetric_to_cube(psi)
     assert lifted.l1() == psi.l1() == 1
-    assert orth(lifted).value == orth(psi).value == cert.orth_value
+    assert orth(lifted) == orth(psi) == cert.orth_value
 
 
 def test_lift_symmetric_to_cube():
@@ -147,7 +147,7 @@ def test_lift_symmetric_to_cube():
     assert lifted((0, 0, 0)) == 1
     assert lifted((1, 0, 0)) == F(-1, 3)
     assert lifted.l1() == phi.l1()
-    assert orth(lifted).value == orth(phi).value
+    assert orth(lifted) == orth(phi)
     zero = FnTable(box([2]), {})
     assert lift_symmetric_to_cube(zero).is_zero()
 
@@ -190,10 +190,10 @@ def test_inner_product_symmetric_bilinear(f, g):
 @settings(max_examples=40, deadline=None)
 def test_orth_tensor_additive(f, g):
     rf, rg, rt = orth(f), orth(g), orth(tensor(f, g))
-    if rf.kind == "infinite" or rg.kind == "infinite":
-        assert rt.kind == "infinite"
+    if rf is None or rg is None:
+        assert rt is None
     else:
-        assert rt.value == rf.value + rg.value
+        assert rt == rf + rg
 
 
 @given(small_tables, small_tables, st.integers(1, 3))
@@ -205,10 +205,10 @@ def test_orth_power_difference(f, g, n):
     if f.is_zero() or g.is_zero():
         return
     diff = fn - gn
-    if d.kind == "infinite":
-        assert orth(diff).kind == "infinite"
+    if d is None:
+        assert orth(diff) is None
     else:
-        assert orth(diff).ge(d.value)
+        assert orth(diff) is None or orth(diff) >= d
 
 
 def from_fourier(coeffs, n):
@@ -330,7 +330,7 @@ def test_orth_capped_exponents_match_uncapped():
         if f.is_zero():
             continue
         cap = sum(bounds) + 2
-        capped = orth(f, cap=cap).value
+        capped = orth(f, cap=cap)
         uncapped = None
         for d in range(cap + 1):
             for a in itertools.product(range(d + 1), repeat=n):
@@ -345,11 +345,12 @@ def test_orth_capped_exponents_match_uncapped():
 
 
 def _orth_reference(f, cap=None):
-    """orth as it was before its integer rewrite: a Fraction sum per monomial."""
+    """orth as it was before its integer rewrite: a Fraction sum per monomial,
+    with the least degree found, or None, in place of its result object."""
     if f.is_zero():
-        return OrthResult.infinite()
+        return None
     if cap is None:
-        cap = default_orth_cap(f.domain)
+        cap = f.domain.n * max(f.domain.bounds) if max(f.domain.bounds) else f.domain.n
     if cap < 0:
         raise PreconditionError("cap must be >= 0")
     items = list(f.entries.items())
@@ -360,8 +361,8 @@ def _orth_reference(f, cap=None):
             for p, v in items:
                 acc += v * eval_monomial(p, alpha)
             if acc != 0:
-                return OrthResult.exact(d, alpha)
-    return OrthResult.at_least(cap + 1)
+                return d
+    return None
 
 
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 12))

@@ -39,7 +39,7 @@ def test_fourier_orth_consistency():
     phi = mu.hadamard(sign_table(f))
     coeffs = fourier(phi)
     by_fourier = min(len(S) for S, c in coeffs.items() if c != 0)
-    by_monomials = orth(phi).value
+    by_monomials = orth(phi)
     assert by_fourier == by_monomials == 2
 
 
@@ -94,7 +94,7 @@ def test_gadget_level_frozen_small_r():
         lam0, lam1, lam2, cert = build_or_gadget(r, r, F(1, 2))
         assert cert.d_gadget == 1
         combo = lam0.scale(F(1, 2)) + lam2.scale(F(1, 2)) - lam1
-        assert orth(combo, cap=r).value == cert.d_gadget
+        assert orth(combo) == cert.d_gadget
 
 
 def test_circuit_de_morgan_dual_preserves_degthr():

@@ -18,7 +18,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ptfwitness import lp
-from ptfwitness.core import FnTable, hypercube
+from ptfwitness.core import FnTable, hypercube, monomial_table
 from ptfwitness.errors import PreconditionError, VerificationError
 from ptfwitness.lp import LPCertificate
 from ptfwitness.oracles import (
@@ -29,7 +29,6 @@ from ptfwitness.oracles import (
     PartialFn,
     Point,
     _check_approx_dual,
-    _monomial_table,
     approx_intervals,
     iii_approx_degree,
     threshold_density,
@@ -78,7 +77,7 @@ def old_iii_approx_degree(f: PartialFn, i0: Interval, i1: Interval, istar: Inter
         raise PreconditionError("empty domain")
     ends = {p: bands[f.value(p)] for p in points}
     prev_cert: LPCertificate | None = None
-    for d, (alphas, table) in enumerate(_monomial_table(dom, points)):
+    for d, (alphas, table) in enumerate(monomial_table(dom, points)):
         prob = LPProblem(len(alphas))
         for i, p in enumerate(points):
             lo, hi = ends[p]

@@ -106,7 +106,7 @@ def old_build_Zu(lam: FnTable, u: Point, d: int, theta: int,
     diam = _diam(set(lam.entries) | {u})
     support_ok = all(sum(p) <= theta or p == u for p in zu.entries)
     at_u = zu(u)
-    orth_ok = orth(zu, cap=d).ge(d + 1)
+    orth_ok = orth(zu, cap=d) is None
     l1_bound = F(2 ** d * comb(diam, d) + 1)
     outside = F(0)
     for p, v in zu.entries.items():
@@ -164,7 +164,7 @@ def old_zero_out_heavy(phi: FnTable, d: int, theta: int,
     phi_t = FnTable(dom, acc, _trusted=True)
     support_ok = all(sum(p) <= theta for p in phi_t.entries)
     diff = phi - phi_t
-    orth_ok = orth(diff, cap=d).ge(d + 1)
+    orth_ok = orth(diff, cap=d) is None
     heavy_l1 = sum((abs(v) for v in heavy.values()), F(0))
     factor = F(0)
     for p in dom.points():
@@ -226,7 +226,7 @@ def old_zero_out_heavy_convex(mix: ProductMixture, d: int, theta: int
         total = scaled if total is None else total + scaled
         dense_total = dense_term if dense_total is None else dense_total + dense_term
     diff = dense_total - total
-    orth_ok = orth(diff, cap=d).ge(d + 1)
+    orth_ok = orth(diff, cap=d) is None
     support_ok = all(sum(p) <= theta for p in total.entries) and \
         all(p in dense_total.entries for p in total.entries)
     factor = F(0)
@@ -292,7 +292,7 @@ def old_redistribute(phi: FnTable, lam_star: FnTable, d: int, theta: int,
             else:
                 acc[p] = cur
     phi_star = FnTable(dom, acc, _trusted=True)
-    orth_ok = orth(phi - phi_star, cap=d).ge(d + 1)
+    orth_ok = orth(phi - phi_star, cap=d) is None
     l1_ok = phi_star.l1() <= 2 * l1
     sign_ok = all(phi(p) * phi_star(p) >= 0 for p in region)
     guaranteed = l1 / N
@@ -371,7 +371,7 @@ def old_weight_reduce(mix: ProductMixture, d: int, theta: int,
     reduced = dense - zeta_t
     support_ok = all(sum(p) < 2 * theta and p in dense.entries
                      for p in reduced.entries)
-    orth_ok = (not heavy) or orth(zeta_t, cap=d).ge(d + 1)
+    orth_ok = (not heavy) or orth(zeta_t, cap=d) is None
     statistical_factor = None
     bound_lower = None
     if family is not None:
@@ -444,7 +444,7 @@ def old_weight_reduce_convex(mix: ProductMixture, d: int, theta: int,
         total = shifted if total is None else total + shifted
         dense_total = dense_term if dense_total is None else dense_total + dense_term
     diff = dense_total - total
-    orth_ok = diff.is_zero() or orth(diff, cap=d).ge(d + 1)
+    orth_ok = diff.is_zero() or orth(diff, cap=d) is None
     support_ok = all(sum(p) < 2 * theta + max_shift for p in total.entries)
     cert = WeightReduceCertificate(
         d=d, theta=theta, support_ok=support_ok, orth_ok=orth_ok,
@@ -475,7 +475,7 @@ def old_build_zeta_cube(n: int, d: int) -> tuple[FnTable, CorrectorCertificate]:
                                 determinant=det)
     if l1 > bound:
         raise ConstructionError(f"corrector l1 {l1} exceeds {bound}; solver bug")
-    if not orth(table, cap=d).ge(d + 1):
+    if orth(table, cap=d) is not None:
         raise ConstructionError("corrector failed its orthogonality check")
     return table, cert
 
