@@ -4,17 +4,29 @@ constructions compare against (ln n, e, square roots, rational powers).
 Every function returns a pair (lo, hi) of Fractions with lo <= value <= hi.
 Callers pick the adverse side, so a check that passes against a bracket is
 sound even though the bracket is not tight.  All internal rounding is
-directed and all comparisons are exact integer comparisons.
+directed and all comparisons are exact integer comparisons.  Inputs are
+ints or Fractions; anything else, a float included, raises
+PreconditionError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from .errors import PreconditionError
 
 Bracket = tuple[Fraction, Fraction]
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction; only ints and Fractions are exact inputs."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise PreconditionError(f"not an exact rational: {x!r}")
 
 
 def _check_bits(bits: int) -> None:
@@ -25,6 +37,7 @@ def _check_bits(bits: int) -> None:
 def sqrt_lower(x: Fraction, bits: int = 32) -> Fraction:
     """Largest dyadic k/2^bits with (k/2^bits)^2 <= x."""
     _check_bits(bits)
+    x = _exact(x)
     if x < 0:
         raise PreconditionError("sqrt of a negative number")
     k = isqrt(x.numerator * (1 << (2 * bits)) // x.denominator)
@@ -34,6 +47,7 @@ def sqrt_lower(x: Fraction, bits: int = 32) -> Fraction:
 def sqrt_upper(x: Fraction, bits: int = 32) -> Fraction:
     """Smallest dyadic k/2^bits with (k/2^bits)^2 >= x."""
     _check_bits(bits)
+    x = _exact(x)
     if x < 0:
         raise PreconditionError("sqrt of a negative number")
     t = -((-x.numerator * (1 << (2 * bits))) // x.denominator)
@@ -44,7 +58,6 @@ def sqrt_upper(x: Fraction, bits: int = 32) -> Fraction:
 
 
 def sqrt_brackets(x, bits: int = 32) -> Bracket:
-    x = Fraction(x)
     return sqrt_lower(x, bits), sqrt_upper(x, bits)
 
 
@@ -52,7 +65,7 @@ def inv_sqrt_brackets(n: int, bits: int = 32) -> Bracket:
     """Enclose 1/sqrt(n) for a positive integer n."""
     if n < 1:
         raise PreconditionError("need n >= 1")
-    lo, hi = sqrt_brackets(Fraction(n), bits)
+    lo, hi = sqrt_brackets(n, bits)
     return 1 / hi, 1 / lo
 
 
@@ -77,7 +90,7 @@ def _ln_atanh(y: Fraction, terms: int) -> Bracket:
 
 def ln_brackets_rational(x: Fraction, terms: int = 24) -> Bracket:
     """Enclose ln(x) for a positive rational x by power-of-two reduction."""
-    x = Fraction(x)
+    x = _exact(x)
     if x <= 0:
         raise PreconditionError("ln of a nonpositive number")
     if x < 1:
@@ -94,7 +107,7 @@ def ln_brackets_rational(x: Fraction, terms: int = 24) -> Bracket:
 
 
 def ln_brackets(n: int, terms: int = 24) -> Bracket:
-    return ln_brackets_rational(Fraction(n), terms)
+    return ln_brackets_rational(n, terms)
 
 
 def one_plus_ln_brackets(n: int, terms: int = 24) -> Bracket:
@@ -123,20 +136,38 @@ def e_brackets(terms: int = 20) -> Bracket:
     return acc, acc + tail
 
 
+@cache
+def _root_chain(bits: int) -> tuple[tuple[int, int], ...]:
+    """Brackets (r_lo, r_hi) of 2^(1/2^j) for j = 1 .. bits, as integer
+    numerators over 2^(2 bits + 8): each is the directed-rounded square
+    root of the one before, an isqrt of r << work, rounded up for r_hi."""
+    work = 2 * bits + 8
+    r_lo = r_hi = 2 << work
+    chain = []
+    for _ in range(bits):
+        r_lo = isqrt(r_lo << work)
+        t = r_hi << work
+        r_hi = isqrt(t)
+        if r_hi * r_hi < t:
+            r_hi += 1
+        chain.append((r_lo, r_hi))
+    return tuple(chain)
+
+
 def pow2_brackets(exponent, bits: int = 24) -> Bracket:
     """Enclose 2**exponent for any rational exponent.
 
     Works digit by digit on the binary expansion of the fractional part f/q
-    (read in integers: double f, subtract q once it reaches q), using
-    directed-rounded dyadic square roots of 2.  The chain r_lo, r_hi of
-    brackets of 2^(1/2^j) and the two accumulated products are integer
-    numerators over the fixed denominator 2^work: a square root is one
-    isqrt of a << work (rounded up for the upper side) and a rounded
-    product is (a * b) >> work, floor or ceiling.  Fractions are built only
-    for the returned pair, so arbitrary exponent denominators stay cheap.
+    (read in integers: double f, subtract q once it reaches q), multiplying
+    in directed-rounded dyadic square roots of 2.  Their chain depends only
+    on `bits`, so it is computed once per precision (`_root_chain`).  The
+    chain and the two accumulated products are integer numerators over the
+    fixed denominator 2^work, and a rounded product is (a * b) >> work,
+    floor or ceiling.  Fractions are built only for the returned pair, so
+    arbitrary exponent denominators stay cheap.
     """
     _check_bits(bits)
-    e = Fraction(exponent)
+    e = _exact(exponent)
     if e < 0:
         lo, hi = pow2_brackets(-e, bits)
         return 1 / hi, 1 / lo
@@ -148,13 +179,8 @@ def pow2_brackets(exponent, bits: int = 24) -> Bracket:
     work = 2 * bits + 8
     one = 1 << work
     lo_acc, hi_acc = one, one  # numerators over 2^work
-    r_lo, r_hi = 2 * one, 2 * one  # brackets of 2^(1/2^j), same denominator
-    for _ in range(bits):
-        r_lo = isqrt(r_lo << work)
-        t = r_hi << work
-        r_hi = isqrt(t)
-        if r_hi * r_hi < t:
-            r_hi += 1
+    r_hi = 2 << work  # 2^(1/2^0), absorbed in the tail when bits = 0
+    for r_lo, r_hi in _root_chain(bits):
         f *= 2
         if f >= q:
             f -= q
@@ -171,8 +197,8 @@ def pow2_brackets(exponent, bits: int = 24) -> Bracket:
 def pow_brackets(base, exponent, bits: int = 24) -> Bracket:
     """Enclose base**exponent for positive rational base and exponent."""
     _check_bits(bits)
-    b = Fraction(base)
-    e = Fraction(exponent)
+    b = _exact(base)
+    e = _exact(exponent)
     if b <= 0:
         raise PreconditionError("pow of a nonpositive base")
     if e == 0 or b == 1:

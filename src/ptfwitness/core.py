@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ArtifactError, PreconditionError
@@ -330,17 +331,45 @@ def monomials(bounds: tuple[int, ...], degree: int) -> Iterator[Point]:
         i += 1
 
 
+def _monomial_rows(bounds: tuple[int, ...], points: list[Point], base: list[int],
+                   top: int) -> Iterator[tuple[int, Point, list[int]]]:
+    """(d, alpha, row) for every monomial alpha of degree d <= top, in
+    `monomials` order, with row[i] = base[i] * points[i]^alpha.
+
+    Each row is its parent's row times one coordinate, one multiply per
+    point: the parent of alpha is alpha with its last nonzero exponent
+    lowered by one, a monomial of the previous degree.  Only the previous
+    degree's rows are kept."""
+    n = len(bounds)
+    cols = list(zip(*points)) or [()] * n  # cols[j][i] = points[i][j]
+    zero = (0,) * n
+    prev = {zero: base}
+    yield 0, zero, base
+    for d in range(1, top + 1):
+        rows: dict[Point, list[int]] = {}
+        for alpha in monomials(bounds, d):
+            j = n - 1
+            while not alpha[j]:
+                j -= 1
+            parent = prev[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]
+            rows[alpha] = row = list(map(mul, parent, cols[j]))
+            yield d, alpha, row
+        prev = rows
+
+
 def monomial_table(domain: Domain, points: list[Point]
                    ) -> Iterator[tuple[list[Point], list[list[int]]]]:
     """For d = 0 .. sum(bounds), the monomials alphas of degree <= d and
     their values table[k][i] = points[i]^alphas[k]; each yield extends the
-    same two lists.  At the last d they span every function on the domain."""
+    same two lists.  At the last d they span every function on the domain.
+    Each row is built from its parent's row (see `_monomial_rows`)."""
     alphas: list[Point] = []
     table: list[list[int]] = []
-    for d in range(sum(domain.bounds) + 1):
-        for a in monomials(domain.bounds, d):
-            alphas.append(a)
-            table.append([eval_monomial(p, a) for p in points])
+    rows = _monomial_rows(domain.bounds, points, [1] * len(points), sum(domain.bounds))
+    for _, group in itertools.groupby(rows, key=itemgetter(0)):
+        for _, alpha, row in group:
+            alphas.append(alpha)
+            table.append(row)
         yield alphas, table
 
 
@@ -357,7 +386,10 @@ def orth(f: FnTable, cap: int | None = None) -> int | None:
 
     The scan runs in integers: the table is scaled once by the lcm `den` of
     its denominators to weights w_p = den * f(p), and each inner product
-    sum_p w_p * p^alpha is a Python int, nonzero exactly when <f, x^alpha> is.
+    sum_p w_p * p^alpha is the sum of a Python int row, nonzero exactly
+    when <f, x^alpha> is.  Each row is its parent monomial's row times one
+    coordinate (see `_monomial_rows`), so a monomial costs one multiply
+    per support point.
     """
     top = sum(f.domain.bounds)
     if cap is not None:
@@ -367,15 +399,10 @@ def orth(f: FnTable, cap: int | None = None) -> int | None:
     if f.is_zero():
         return None
     den = lcm(*[v.denominator for v in f.entries.values()])
-    items = [(p, v.numerator * (den // v.denominator)) for p, v in f.entries.items()]
-    bounds = f.domain.bounds
-    for d in range(top + 1):
-        for alpha in monomials(bounds, d):
-            acc = 0
-            for p, w in items:
-                acc += w * eval_monomial(p, alpha)
-            if acc:
-                return d
+    weights = [v.numerator * (den // v.denominator) for v in f.entries.values()]
+    for d, _, row in _monomial_rows(f.domain.bounds, list(f.entries), weights, top):
+        if sum(row):
+            return d
     return None
 
 

@@ -8,6 +8,8 @@ from ptfwitness.brackets import (
     e_brackets,
     inv_sqrt_brackets,
     ln_brackets,
+    ln_brackets_rational,
+    log2_brackets,
     pow2_brackets,
     pow_brackets,
     sqrt_brackets,
@@ -68,6 +70,31 @@ def test_negative_bits_rejected():
     for call in calls:
         with pytest.raises(PreconditionError):
             call()
+
+
+def test_floats_rejected():
+    calls = [
+        lambda: sqrt_lower(0.5),
+        lambda: sqrt_upper(0.5),
+        lambda: sqrt_brackets(2.0),
+        lambda: inv_sqrt_brackets(2.5),
+        lambda: pow2_brackets(0.1),
+        lambda: pow2_brackets(-0.1),
+        lambda: pow_brackets(F(3), 0.5),
+        lambda: pow_brackets(1.5, F(1, 2)),
+        lambda: ln_brackets(2.0),
+        lambda: ln_brackets_rational(0.5),
+        lambda: log2_brackets(3.0),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError):
+            call()
+
+
+def test_ints_and_fractions_accepted():
+    assert sqrt_lower(4) == sqrt_upper(F(4)) == 2
+    assert pow2_brackets(3) == (8, 8)
+    assert ln_brackets_rational(1) == (0, 0)
 
 
 # pow2_brackets as it was before its integer rewrite, with the helpers it
@@ -133,7 +160,7 @@ exponents = st.one_of(
 )
 
 
-@given(exponents, st.integers(1, 32))
+@given(exponents, st.integers(0, 32))
 @settings(max_examples=300, deadline=None)
 def test_pow2_matches_fraction_reference(e, bits):
     assert pow2_brackets(e, bits) == _pow2_reference(e, bits)

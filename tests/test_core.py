@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -17,6 +18,7 @@ from ptfwitness.core import (
     inner_product,
     least_poly_degree,
     lift_symmetric_to_cube,
+    monomial_table,
     monomials,
     orth,
     symmetrize,
@@ -391,7 +393,90 @@ def box_tables(draw):
     return FnTable(dom, entries)
 
 
-@given(box_tables(), st.one_of(st.none(), st.integers(0, 10)))
-@settings(max_examples=200, deadline=None)
+@st.composite
+def cube_tables(draw):
+    """Random rational tables on hypercubes of up to 8 bits: either sparse
+    random values, or parity times a random polynomial of degree <= 1,
+    orthogonal to every polynomial of degree < n - 1."""
+    n = draw(st.integers(1, 8))
+    dom = hypercube(n)
+    if draw(st.booleans()):
+        return FnTable(dom, {p: draw(rationals) for p in dom.points()
+                             if draw(st.integers(0, 3)) == 0})
+    q = [draw(rationals) for _ in range(n + 1)]
+    return FnTable(dom, {p: (-1) ** sum(p) * (q[0] + sum(c * x for c, x in zip(q[1:], p)))
+                         for p in dom.points()})
+
+
+@st.composite
+def line_tables(draw):
+    """Alternating tables on 1-D boxes of up to 65 points, like psi: either
+    (-1)^t C(N, t) q(t) / den for a random positive q of degree <= 3, which
+    is orthogonal to every polynomial of degree < N - deg q, or values of
+    alternating sign and random magnitude on a random subset of points."""
+    bound = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        q = [draw(st.integers(1, 9)) for _ in range(draw(st.integers(0, 3)) + 1)]
+        den = draw(st.integers(1, 10**6))
+        return FnTable(box([bound]), {
+            (t,): F((-1) ** t * comb(bound, t) * sum(c * t ** k for k, c in enumerate(q)), den)
+            for t in range(bound + 1)})
+    support = sorted(draw(st.sets(st.integers(0, bound), min_size=1)))
+    return FnTable(box([bound]), {(t,): (-1) ** i * F(draw(st.integers(1, 99)), draw(st.integers(1, 99)))
+                                  for i, t in enumerate(support)})
+
+
+@given(st.one_of(box_tables(), cube_tables(), line_tables()),
+       st.one_of(st.none(), st.integers(0, 10), st.integers(0, 64)))
+@settings(max_examples=300, deadline=None)
 def test_orth_matches_fraction_reference(f, cap):
     assert orth(f, cap) == _orth_reference(f, cap)
+
+
+def test_orth_moved_corrector_entry():
+    # the n = 8 corrector is orthogonal through degree 2; moving one of its
+    # values to a point outside its support breaks that at degree 1
+    from ptfwitness.corrector import build_zeta_cube
+
+    z, _ = build_zeta_cube(8, 2)
+    assert orth(z, cap=2) is None and orth(z) == _orth_reference(z) == 3
+    entries = dict(z.entries)
+    p = (1, 1, 0, 0, 0, 0, 0, 0)
+    entries[(1, 1, 1, 0, 0, 0, 0, 0)] = entries.pop(p)
+    moved = FnTable(z.domain, entries)
+    assert orth(moved, cap=2) == _orth_reference(moved, 2) == 1
+
+
+def _monomial_table_reference(domain, points):
+    """monomial_table as it was before rows were built from their parents:
+    one eval_monomial per point per monomial."""
+    alphas, table = [], []
+    for d in range(sum(domain.bounds) + 1):
+        for a in monomials(domain.bounds, d):
+            alphas.append(a)
+            table.append([eval_monomial(p, a) for p in points])
+        yield alphas, table
+
+
+def _assert_monomial_table_matches(domain, points):
+    got = monomial_table(domain, points)
+    want = _monomial_table_reference(domain, points)
+    for (a1, t1), (a2, t2) in itertools.zip_longest(got, want, fillvalue=(None, None)):
+        assert a1 == a2 and t1 == t2
+
+
+def test_monomial_table_matches_reference_on_boxes():
+    rng = random.Random(7)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        dom = Domain(tuple(rng.randint(0, 3) for _ in range(n)),
+                     tuple(rng.randint(0, 3) for _ in range(n)))
+        points = list(dom.points())
+        rng.shuffle(points)
+        _assert_monomial_table_matches(dom, points[:rng.randint(0, len(points))])
+
+
+def test_monomial_table_matches_reference_on_cubes():
+    for n in range(1, 9):
+        dom = hypercube(n)
+        _assert_monomial_table_matches(dom, list(dom.points()))
