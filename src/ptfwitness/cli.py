@@ -1,7 +1,7 @@
 """Command-line orchestration.
 
 Subcommands: witness (build dual objects), oracle (exact degree and
-discrepancy queries), bounds (pattern matrices, Forster, formulas),
+discrepancy queries), bounds (pattern matrices, Forster, sign-rank),
 amplify (one circuit amplification step), circuits (constructors and
 exports), verify (re-check a stored artifact), repro (the acceptance
 suite).  Exit code 0 means every requested certificate passed.
@@ -30,7 +30,6 @@ from .dual_mp import build_mp_smooth_witness, build_mp_witness, build_or_gadget,
 from .dual_or import build_psi
 from .errors import ArtifactError
 from .matrix_bounds import (
-    disc_pp_upp_formulas,
     forster_bound,
     pattern_spectral_norm,
     signrank_lb_pattern,
@@ -213,15 +212,6 @@ def cmd_bounds(args) -> int:
         print(f"level d={ans.value}; sign-rank >= {frac_str(res.bound_lower)}"
               f"{' (exact)' if res.bound_is_exact else ' (lower bracket)'}")
         return 0
-    if args.operation == "formulas":
-        rep = disc_pp_upp_formulas(
-            ell=args.ell, m=args.m, degthr=args.degthr,
-            c=parse_frac(args.c) if args.c else None,
-            disc=parse_frac(args.disc) if args.disc else None,
-            srank=parse_frac(args.srank) if args.srank else None)
-        for k, v in sorted(rep.items.items()):
-            print(f"{k}: {v}")
-        return 0
     raise ArtifactError(f"unknown bounds operation {args.operation!r}")
 
 
@@ -333,18 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(run=cmd_witness)
 
     b = sub.add_parser("bounds", help="pattern matrices and sign-rank bounds")
-    b.add_argument("operation", choices=["pattern", "forster", "signrank", "formulas"])
+    b.add_argument("operation", choices=["pattern", "forster", "signrank"])
     add_fn_args(b)
     b.add_argument("--N", type=int, default=2)
     b.add_argument("--phi", help="path to an fntable JSON artifact")
     b.add_argument("--csv")
     b.add_argument("--gamma", default="1/1")
     b.add_argument("--T", type=int, default=2)
-    b.add_argument("--ell", type=int)
-    b.add_argument("--degthr", type=int)
-    b.add_argument("--c")
-    b.add_argument("--disc")
-    b.add_argument("--srank")
     b.set_defaults(run=cmd_bounds)
 
     a = sub.add_parser("amplify", help="one circuit amplification step")

@@ -454,52 +454,93 @@ def fourier(f: FnTable) -> dict[frozenset[int], Fraction]:
     return out
 
 
-def symmetrize(f: FnTable, blocks: tuple[tuple[int, ...], ...]) -> FnTable:
-    """Average a hypercube function over strings with given block weights.
-
-    Output lives on the box of block-weight vectors; its value at t is the
-    average of f over all inputs whose i-th block has Hamming weight t_i.
-    """
-    if not f.domain.is_hypercube:
-        raise PreconditionError("symmetrize expects a full hypercube domain")
-    n = f.domain.n
-    seen = sorted(i for blk in blocks for i in blk)
-    if seen != list(range(n)):
+def _check_partition(blocks: tuple[tuple[int, ...], ...], n: int) -> None:
+    if sorted(i for blk in blocks for i in blk) != list(range(n)):
         raise PreconditionError("blocks must partition the coordinates")
-    sizes = tuple(len(blk) for blk in blocks)
+
+
+def _check_blocks(domain: Domain, blocks: tuple[tuple[int, ...], ...]) -> None:
+    _check_partition(blocks, domain.n)
+    for blk in blocks:
+        if len(blk) > 1 and any(domain.bounds[i] != 1 or domain.offset[i] for i in blk):
+            raise PreconditionError("a block of several coordinates needs bound 1 and offset 0")
+
+
+def orbit_sizes(blocks: tuple[tuple[int, ...], ...], weights: Iterable[Point]) -> list[int]:
+    """For each vector t of block weights, the number of points with those
+    weights: prod_k C(|block_k|, t_k) over the blocks of several coordinates."""
+    multi = [(k, len(blk)) for k, blk in enumerate(blocks) if len(blk) > 1]
+    sizes = []
+    for t in weights:
+        size = 1
+        for k, m in multi:
+            size *= comb(m, t[k])
+        sizes.append(size)
+    return sizes
+
+
+def symmetrize(f: FnTable, blocks: tuple[tuple[int, ...], ...]) -> FnTable:
+    """Average a table over the points with given block weights.
+
+    The blocks partition the coordinates; a block of several coordinates
+    holds coordinates of bound 1 and offset 0, and a one-coordinate block
+    keeps its coordinate's range.  Output lives on the box of block weights,
+    under the same weight window; its value at t is the average of f over
+    the orbit of points whose k-th block has weight t_k.
+    """
+    dom = f.domain
+    _check_blocks(dom, blocks)
     sums: dict[Point, Fraction] = {}
     for p, v in f.entries.items():
-        t = tuple(sum(p[i] for i in blk) for blk in blocks)
-        sums[t] = sums.get(t, Fraction(0)) + v
-    dom = Domain(sizes)
+        t = tuple([p[blk[0]] if len(blk) == 1 else sum([p[i] for i in blk]) for blk in blocks])
+        s = sums.get(t)
+        sums[t] = v if s is None else s + v
+    wdom = Domain(tuple(sum(dom.bounds[i] for i in blk) for blk in blocks),
+                  tuple(sum(dom.offset[i] for i in blk) for blk in blocks), dom.window)
     out = {}
-    for t, s in sums.items():
-        count = 1
-        for size, ti in zip(sizes, t):
-            count *= comb(size, ti)
-        val = s / count
-        if val != 0:
-            out[t] = val
-    return FnTable(dom, out, _trusted=True)
+    for (t, s), size in zip(sums.items(), orbit_sizes(blocks, sums)):
+        if s:
+            out[t] = s / size if size > 1 else s
+    return FnTable(wdom, out, _trusted=True)
 
 
-def lift_symmetric_to_cube(phi: FnTable) -> FnTable:
-    """Spread a univariate table on {0..r} uniformly over each weight level
-    of {0,1}^r.  Preserves the l1 norm and the orthogonal content; the sign
-    at x depends only on |x|.
+def lift_symmetric_to_cube(phi: FnTable, blocks: tuple[tuple[int, ...], ...]) -> FnTable:
+    """Spread a table on a box of block weights uniformly over each orbit:
+    phi(t) / |orbit(t)| at every point whose k-th block has weight t_k.
+
+    Coordinate k of phi becomes the coordinates blocks[k]: 0/1 coordinates
+    when the block has several (phi's coordinate must then range over
+    0..|block|), and a copy of phi's coordinate when it has one.  The
+    window is kept.  This inverts `symmetrize` on tables constant on
+    orbits, and preserves the l1 norm and the orthogonal content.
     """
-    if phi.domain.n != 1 or phi.domain.offset != (0,) or phi.domain.window is not None:
-        raise PreconditionError("lift expects a univariate table on {0..r}")
-    r = phi.domain.bounds[0]
-    if r < 1:
-        raise PreconditionError("need r >= 1")
-    dom = hypercube(r)
+    bdom = phi.domain
+    if len(blocks) != bdom.n:
+        raise PreconditionError("one block per coordinate of the table")
+    n = sum(len(blk) for blk in blocks)
+    _check_partition(blocks, n)
+    bounds, offset = [1] * n, [0] * n
+    for blk, b, o in zip(blocks, bdom.bounds, bdom.offset):
+        if len(blk) == 1:
+            bounds[blk[0]], offset[blk[0]] = b, o
+        elif b != len(blk) or o:
+            raise PreconditionError("a block of k coordinates lifts a weight in 0..k")
+    dom = Domain(tuple(bounds), tuple(offset), bdom.window)
+    single = [(k, blk[0]) for k, blk in enumerate(blocks) if len(blk) == 1]
+    multi = [(k, blk) for k, blk in enumerate(blocks) if len(blk) > 1]
     out = {}
-    for (t,), v in phi.entries.items():
-        share = v / comb(r, t)
-        for ones in itertools.combinations(range(r), t):
-            p = tuple(1 if i in ones else 0 for i in range(r))
-            out[p] = share
+    for (t, v), size in zip(phi.entries.items(), orbit_sizes(blocks, phi.entries)):
+        share = v / size if size > 1 else v
+        base = [0] * n
+        for k, i in single:
+            base[i] = t[k]
+        # the points of the orbit: t_k ones among the coordinates of block k
+        for pick in itertools.product(*[itertools.combinations(blk, t[k]) for k, blk in multi]):
+            p = base[:]
+            for ones in pick:
+                for i in ones:
+                    p[i] = 1
+            out[tuple(p)] = share
     return FnTable(dom, out, _trusted=True)
 
 

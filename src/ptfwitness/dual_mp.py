@@ -339,7 +339,7 @@ def build_rs_smooth(m: int, r: int) -> tuple[FnTable, RsSmoothCertificate]:
     psi_uni, psi_cert = build_psi(r, r, F(1, 50))
     if psi_cert.at_zero <= F(49, 100):
         raise ConstructionError("psi(0) <= 0.49; rebuild with smaller eps")
-    psi = lift_symmetric_to_cube(psi_uni)
+    psi = lift_symmetric_to_cube(psi_uni, (tuple(range(r)),))
     d_psi = psi_cert.orth_value
 
     dom_r = hypercube(r)

@@ -1,12 +1,12 @@
-"""Pattern matrices, the closed-form spectral norm, the Forster-type
-sign-rank lower bound, and the closed-form communication quantities.
+"""Pattern matrices, the closed-form spectral norm, and the Forster-type
+and pattern-matrix sign-rank lower bounds.
 
 Every bound here is decided in rational arithmetic.  The pattern-matrix
 norm is the closed form, checked on every call against the exact
 Walsh-Hadamard spectrum of A A^T computed in integers.  The Forster bound
 rests on a rational lambda >= ||A||^2, certified by an exact
 positive-definiteness test of lambda I - G for the smaller Gram matrix G.
-Floats appear only in the closed-form evaluators of disc_pp_upp_formulas.
+The pattern-matrix bound re-checks its smooth witness against its own f.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .brackets import sqrt_brackets, sqrt_lower
 from .core import FnTable, fourier
 from .errors import PreconditionError, VerificationError
 from .linalg import matrix_rank, positive_definite
-from .oracles import DegreeAnswer
+from .oracles import DegreeAnswer, check_smooth_witness
 
 F = Fraction
 
@@ -219,7 +219,10 @@ class PatternSignRank:
 
 def signrank_lb_pattern(f: FnTable, answer: DegreeAnswer, T: int) -> PatternSignRank:
     """Sign-rank lower bound gamma * T^(d/2) for the pattern matrix built
-    from f, justified by a certified min-smooth witness of level d for f."""
+    from f, justified by a min-smooth witness of level d for f: the witness
+    is re-checked against f by oracles.check_smooth_witness, and one that
+    fails raises VerificationError (Razborov and Sherstov's
+    smooth-orthogonalizing distribution argument)."""
     if answer.gamma is None or answer.dual is None:
         raise PreconditionError("need a certified min-smooth witness")
     if answer.dual.domain != f.domain:
@@ -229,41 +232,10 @@ def signrank_lb_pattern(f: FnTable, answer: DegreeAnswer, T: int) -> PatternSign
         raise PreconditionError("bound needs a certified level and positive gamma")
     if T < 1:
         raise PreconditionError("need T >= 1")
+    check_smooth_witness(f, answer.dual, gamma, d)
     if d % 2 == 0:
         return PatternSignRank(gamma=gamma, d=d, T=T, bound_lower=gamma * F(T) ** (d // 2),
                                bound_is_exact=True)
     lo, _ = sqrt_brackets(F(T) ** d)
     return PatternSignRank(gamma=gamma, d=d, T=T, bound_lower=gamma * lo,
                            bound_is_exact=False)
-
-
-@dataclass
-class FormulaReport:
-    items: dict
-
-
-def disc_pp_upp_formulas(ell: int | None = None, m: int | None = None,
-                         degthr: int | None = None, c: Fraction | None = None,
-                         disc: Fraction | None = None,
-                         srank: Fraction | None = None) -> FormulaReport:
-    """Closed-form evaluators: the multiparty discrepancy bound
-    (c 2^ell ell / sqrt(m))^(degthr/2), the weakly-unbounded-error cost
-    pp >= log2(2 / disc), and the two-sided unbounded-error relation
-    log2(srank) <= upp <= log2(srank) + 2."""
-    items: dict = {}
-    if ell is not None and m is not None and degthr is not None:
-        base_sym = f"(c * 2^{ell} * {ell} / sqrt({m}))^{degthr}/2"
-        items["disc_bound_symbolic"] = base_sym
-        if c is not None:
-            base = float(c) * (2.0 ** ell) * ell / math.sqrt(m)
-            items["disc_bound_value"] = base ** (degthr / 2)
-    if disc is not None:
-        if disc <= 0:
-            raise PreconditionError("discrepancy must be positive")
-        items["pp_lower"] = math.log2(2.0 / float(disc))
-    if srank is not None:
-        if srank < 1:
-            raise PreconditionError("sign-rank is at least 1")
-        items["upp_interval"] = (math.log2(float(srank)),
-                                 math.log2(float(srank)) + 2.0)
-    return FormulaReport(items=items)

@@ -1,20 +1,34 @@
 """Degree oracles: ground truth for every constructed witness.
 
 Every oracle poses one linear program, built by _weigh: nonnegative weights
-x_v on columns v = (p_v, sigma_v, e_v), each a point with a sign and an end,
-and against basis functions B_k
+x_v on columns v = (p_v, sigma_v, e_v), each a point with a sign and an end
+and a size m_v >= 1, and against basis functions B_k
 
-    sum_v sigma_v B_k(p_v) x_v = -(gamma/N) sum_v sigma_v B_k(p_v)   for every k,
+    sum_v sigma_v B_k(p_v) x_v = -(gamma/M) sum_v m_v sigma_v B_k(p_v)   for every k,
     sum_v e_v x_v = 1 - gamma,
 
-N the number of columns.  A solution is the dual witness, a weighting with
-floor gamma/N, twisted by the signs, orthogonal to the basis.  Otherwise
-the Farkas vector (z, w) gives q = -z/r, r > 0 its combination of the
-right-hand sides, with
+M = sum_v m_v.  A solution is the dual witness, a weighting with floor
+gamma m_v/M on column v, twisted by the signs, orthogonal to the basis.
+Otherwise the Farkas vector (z, w) gives q = -z/r, r > 0 its combination of
+the right-hand sides, with
 
-    (gamma/N) sum_v sigma_v q(p_v) + (1 - gamma) min_v (sigma_v q(p_v) - e_v) >= gamma,
+    (gamma/M) sum_v m_v sigma_v q(p_v) + (1 - gamma) min_v (sigma_v q(p_v) - e_v) >= gamma,
 
 re-checked in integers; at gamma = 0 it reads sigma_v q(p_v) >= e_v.
+
+The degree oracles share one ladder, run on the orbits of the table's twin
+coordinates (Minsky-Papert symmetrization).  Only coordinates of bound 1
+and offset 0 can be twins: i and j are twins when swapping them leaves the
+table's labels unchanged.  Twins form classes, and the orbit of a point is
+the set of points with the same weight on every class.  A column is an
+orbit with its size, m_v = |orbit|, so its floor is gamma |orbit|/|X|, and
+the basis is the monomials in the class weights.  Averaging a cube witness
+or polynomial over the class permutations gives one on the orbits of no
+larger degree, so every level is that of the cube.  A table without twins
+has one-point orbits and poses the cube's programs.  Each answer is lifted
+back and re-checked on the cube: the dual spreads each orbit's weight
+evenly over it, and q is expanded through k^b = sum_j S(b, j) j! e_j(x)
+over each class's coordinates and re-checked by _check_primal on the cube.
 
 - Threshold degree (gamma = 0) and gamma-smooth threshold degree: one
   column (p, s_p, 1) per point, s = (-1)^f, and at level L of the ladder
@@ -24,11 +38,12 @@ re-checked in integers; at gamma = 0 it reads sigma_v q(p_v) >= e_v.
 - Interval approximate degree: the same ladder at gamma = 0, with columns
   (p, +1, lo_p) and (p, -1, -hi_p) for the finite ends of p's interval, so
   q maps every point into its interval; the dual sums sigma_v x_v per point.
-- Threshold density: per parity family, one column (pattern, +1, 1) per
-  distinct sign pattern against the family's characters, so q is a
+- Threshold density: per parity family, one column (pattern, +1, 1) of size
+  1 per distinct sign pattern against the family's characters, so q is a
   coefficient vector with pattern . q >= 1.
 
-Both artifacts of every answer are re-checked before being returned.
+Both artifacts of every answer are re-checked before being returned.  The
+degree and density oracles take Boolean tables, which store only the value 1.
 """
 
 from __future__ import annotations
@@ -36,7 +51,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .core import (
@@ -44,8 +61,11 @@ from .core import (
     FnTable,
     eval_monomial,
     hypercube,
+    lift_symmetric_to_cube,
     monomial_table,
+    orbit_sizes,
     orth,
+    symmetrize,
 )
 from .errors import ArtifactError, PreconditionError, VerificationError
 from .lp import LPProblem, solve
@@ -56,6 +76,11 @@ Point = tuple[int, ...]
 
 # (point, sign, end) of one weight in _weigh's program
 Column = tuple[Point, int, Fraction]
+
+Blocks = tuple[tuple[int, ...], ...]
+
+# a Boolean table's (sign, end) columns at its 0- and 1-points
+_SIGN_COLUMNS = ([(1, F(1))], [(-1, F(1))])
 
 
 def bool_table(domain: Domain, ones: Iterable[Point]) -> FnTable:
@@ -69,6 +94,12 @@ def sign_table(f: FnTable) -> FnTable:
     for p in f.domain.points():
         out[p] = F(-1) if f(p) == 1 else F(1)
     return FnTable(f.domain, out, _trusted=True)
+
+
+def _boolean(f: FnTable) -> FnTable:
+    if any(v != 1 for v in f.entries.values()):
+        raise PreconditionError("a Boolean table stores only the value 1")
+    return f
 
 
 @dataclass
@@ -110,43 +141,165 @@ def _check_primal(q: list[Fraction], rows: list[list[int]], ends: list[Fraction]
         raise VerificationError("recovered polynomial lacks margin")
 
 
-def _weigh(rows: list[list[int]], ends: list[Fraction], gamma: Fraction
+def _weigh(rows: list[list[int]], rhs: list[Fraction], ends: list[Fraction], gamma: Fraction
            ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """The program of the module docstring, rows[k][v] = sigma_v B_k(p_v)
-    and ends[v] = e_v.  Returns (x, None) when it is feasible, and else
-    (None, q) with q[k] the coefficient of B_k, re-checked by _check_primal."""
-    floor = F(gamma, len(ends) or 1)
+    """The program of the module docstring, rows[k][v] = sigma_v B_k(p_v),
+    rhs[k] = -(gamma/M) sum_v m_v rows[k][v] and ends[v] = e_v.  Returns
+    (x, None) when it is feasible, and else (None, q) with q[k] the
+    coefficient of B_k; the caller re-checks q by _check_primal."""
     prob = LPProblem(len(ends))
-    for row in rows:
-        prob.add(row, "==", -floor * sum(row))
+    for row, b in zip(rows, rhs):
+        prob.add(row, "==", b)
     prob.add(ends, "==", 1 - gamma)
     cert = solve(prob)
     if cert.status != "infeasible":
         return cert.x, None
     # y = (z, w): sigma_v z(p_v) + e_v w <= 0 and r = sum_i y_i b_i, so q = -z/r
-    # has sigma_v q(p_v) >= e_v w/r and (gamma/N) sum_v sigma_v q(p_v) = 1 - (1 - gamma) w/r
+    # has sigma_v q(p_v) >= e_v w/r and (gamma/M) sum_v m_v sigma_v q(p_v) = 1 - (1 - gamma) w/r
     r = sum((y * F(b, d) for y, (_, _, b, d) in zip(cert.farkas, prob.rows) if y), F(0))
-    q = [-z / r for z in cert.farkas[:-1]]
-    _check_primal(q, rows, ends, gamma)
-    return None, q
+    return None, [-z / r for z in cert.farkas[:-1]]
 
 
-def _ladder(domain: Domain, columns: list[Column], gamma: Fraction):
-    """_weigh against the monomials of degree < L at levels L = 1, 2, ...
+def _twin_classes(labels: FnTable) -> Blocks:
+    """The classes of twin coordinates of a table (module docstring), each
+    ascending, ordered by their least coordinate."""
+    dom = labels.domain
+    groups: dict[tuple[int, int], set[Point]] = {}
+    for p, v in labels.entries.items():
+        groups.setdefault((v.numerator, v.denominator), set()).add(p)
 
-    Returns the value, the primal q of the first infeasible level, and the
-    weights x of the last feasible level (None when the value is 0).
+    def twins(i: int, j: int) -> bool:
+        # the swap maps every label's points into themselves
+        for group in groups.values():
+            for p in group:
+                if p[i] != p[j]:
+                    q = list(p)
+                    q[i], q[j] = p[j], p[i]
+                    if tuple(q) not in group:
+                        return False
+        return True
+
+    binary = [b == 1 and o == 0 for b, o in zip(dom.bounds, dom.offset)]
+    classes: list[list[int]] = []
+    for i in range(dom.n):
+        for c in classes:
+            if binary[i] and binary[c[0]] and twins(c[0], i):
+                c.append(i)
+                break
+        else:
+            classes.append([i])
+    return tuple(map(tuple, classes))
+
+
+@cache
+def _power_terms(blk: tuple[int, ...], b: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """k^b = sum_j S(b, j) j! e_j(x) for the weight k of the 0/1 coordinates
+    blk, as (coordinates of one term of e_j, S(b, j) j!) pairs; S(b, j) j!
+    counts the maps from b things onto j things."""
+    terms = []
+    for j in range(min(b, len(blk)) + 1):
+        onto = sum((-1) ** i * comb(j, i) * (j - i) ** b for i in range(j + 1))
+        if onto:
+            terms += [(ones, onto) for ones in itertools.combinations(blk, j)]
+    return tuple(terms)
+
+
+def _expand(coeffs: dict[Point, Fraction], classes: Blocks, n: int) -> dict[Point, Fraction]:
+    """A polynomial in the class weights as one in the n coordinates: a
+    class of one coordinate keeps its exponent, and a class of several is
+    expanded by _power_terms."""
+    single = [(k, blk[0]) for k, blk in enumerate(classes) if len(blk) == 1]
+    multi = [(k, blk) for k, blk in enumerate(classes) if len(blk) > 1]
+    out: dict[Point, Fraction] = {}
+    for alpha, c in coeffs.items():
+        base = [0] * n
+        for k, i in single:
+            base[i] = alpha[k]
+        for pick in itertools.product(*[_power_terms(blk, alpha[k]) for k, blk in multi]):
+            e = base[:]
+            m = 1
+            for ones, onto in pick:
+                m *= onto
+                for i in ones:
+                    e[i] = 1
+            e = tuple(e)
+            term = c * m if m != 1 else c
+            prev = out.get(e)
+            out[e] = term if prev is None else prev + term
+    return {e: c for e, c in out.items() if c}
+
+
+def _rows(alphas: Iterable[Point], columns: list[Column]) -> list[list[int]]:
+    """rows[k][v] = sigma_v p_v^alphas[k], each row its parent's row (the
+    last nonzero exponent lowered by one) times one coordinate."""
+    cols = list(zip(*[p for p, _, _ in columns]))
+    memo: dict[Point, list[int]] = {}
+
+    def row(alpha: Point) -> list[int]:
+        r = memo.get(alpha)
+        if r is None:
+            j = len(alpha) - 1
+            while j >= 0 and not alpha[j]:
+                j -= 1
+            if j < 0:
+                r = [s for _, s, _ in columns]
+            else:
+                r = list(map(mul, row(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]), cols[j]))
+            memo[alpha] = r
+        return r
+
+    return [row(alpha) for alpha in alphas]
+
+
+def _columns(labels: FnTable, points: Iterable[Point],
+             label_columns: Sequence[list[tuple[int, Fraction]]]) -> list[Column]:
+    """The columns (p, sign, end) of each point p: those of label_columns[a]
+    at a point labelled a (labels are small nonnegative integers)."""
+    columns = []
+    for p in points:
+        label = labels.entries.get(p)
+        columns += [(p, s, e) for s, e in label_columns[0 if label is None else label.numerator]]
+    return columns
+
+
+def _ladder(labels: FnTable, label_columns: Sequence[list[tuple[int, Fraction]]],
+            gamma: Fraction) -> tuple[int, dict[Point, Fraction], FnTable | None]:
+    """_weigh against the monomials of degree < L at levels L = 1, 2, ...,
+    on the orbits of the twin classes of labels; an orbit labelled a has
+    the columns (sign, end) of label_columns[a].
+
+    Returns the value, the primal q of the first infeasible level expanded
+    to the coordinates and re-checked at every point, and the dual
+    sum_v sigma_v x_v of the last feasible level spread evenly over each
+    orbit (None when the value is 0).
     """
-    rows: list[list[int]] = []
+    points = _points(labels.domain)
+    classes = _twin_classes(labels)
+    orbits = symmetrize(labels, classes)
+    counts = list(orbits.domain.points())
+    size = dict(zip(counts, orbit_sizes(classes, counts)))
+    columns = _columns(orbits, counts, label_columns)
+    sizes = [size[t] for t, _, _ in columns]
     ends = [e for _, _, e in columns]
+    floor = F(gamma, sum(sizes) or 1)
+    rows: list[list[int]] = []
+    rhs: list[Fraction] = []
     x = None
     for level, (alphas, table) in enumerate(
-            monomial_table(domain, [p for p, _, _ in columns]), start=1):
-        rows += [[s * v for (_, s, _), v in zip(columns, vals)] for vals in table[len(rows):]]
-        weights, q = _weigh(rows, ends, gamma)
+            monomial_table(orbits.domain, [t for t, _, _ in columns]), start=1):
+        added = [[s * v for (_, s, _), v in zip(columns, vals)] for vals in table[len(rows):]]
+        rows += added
+        rhs += [-floor * sum(map(mul, sizes, row)) if floor else 0 for row in added]
+        weights, q = _weigh(rows, rhs, ends, gamma)
         if q is not None:
-            primal = {a: c for a, c in zip(alphas, q) if c}
-            return level - 1, primal, x
+            primal = _expand({a: c for a, c in zip(alphas, q) if c}, classes, labels.domain.n)
+            cube = _columns(labels, points, label_columns)
+            _check_primal(list(primal.values()), _rows(primal, cube),
+                          [e for _, _, e in cube], gamma)
+            dual = None
+            if x is not None:
+                dual = lift_symmetric_to_cube(_fold(orbits.domain, columns, x), classes)
+            return level - 1, primal, dual
         x = weights
     raise ArtifactError("the full-degree level cannot be feasible")
 
@@ -158,16 +311,15 @@ def _points(domain: Domain) -> list[Point]:
     return points
 
 
-def _sign_columns(f: FnTable) -> list[Column]:
-    return [(p, -1 if f(p) == 1 else 1, F(1)) for p in _points(f.domain)]
-
-
 def _fold(domain: Domain, columns: list[Column], x: list[Fraction]) -> FnTable:
-    """sum_v sigma_v x_v at each point."""
+    """sum_v sigma_v x_v at each point, the points those of the columns."""
     out: dict[Point, Fraction] = {}
     for (p, s, _), w in zip(columns, x):
-        out[p] = out.get(p, F(0)) + s * w
-    return FnTable(domain, out)
+        if w:
+            w = w if s > 0 else -w
+            prev = out.get(p)
+            out[p] = w if prev is None else prev + w
+    return FnTable(domain, {p: w for p, w in out.items() if w}, _trusted=True)
 
 
 def threshold_degree(f: FnTable) -> DegreeAnswer:
@@ -178,14 +330,28 @@ def threshold_degree(f: FnTable) -> DegreeAnswer:
     witness: a sign-agreeing probability weighting orthogonal to every
     polynomial of lower degree.
     """
-    columns = _sign_columns(f)
-    value, primal, x = _ladder(f.domain, columns, F(0))
-    dual_witness: FnTable | None = None
-    if x is not None:
-        dual_witness = _fold(f.domain, columns, x)
-        if orth(dual_witness, cap=value - 1) is not None:
-            raise VerificationError("dual witness orthogonality failed re-check")
-    return DegreeAnswer(value=value, primal=primal, dual=dual_witness)
+    value, primal, dual = _ladder(_boolean(f), _SIGN_COLUMNS, F(0))
+    if dual is not None and orth(dual, cap=value - 1) is not None:
+        raise VerificationError("dual witness orthogonality failed re-check")
+    return DegreeAnswer(value=value, primal=primal, dual=dual)
+
+
+def check_smooth_witness(f: FnTable, mu: FnTable, gamma: Fraction, d: int) -> None:
+    """Re-check that mu witnesses gamma-smooth threshold degree >= d for the
+    Boolean table f: a probability distribution on f's domain with floor
+    gamma/|X| at every point, whose twist by (-1)^f is orthogonal to every
+    polynomial of degree < d.  Raises VerificationError otherwise."""
+    ones = _boolean(f).entries
+    points = _points(mu.domain)
+    floor = gamma / len(points)
+    w = mu.entries
+    if sum(w.values()) != 1 or any(w.get(p, 0) < floor for p in points):
+        raise VerificationError("smooth witness failed distribution re-check")
+    if d > 0:
+        twisted = FnTable(mu.domain, {p: -v if p in ones else v for p, v in w.items()},
+                          _trusted=True)
+        if orth(twisted, cap=d - 1) is not None:
+            raise VerificationError("smooth witness orthogonality failed re-check")
 
 
 def smooth_threshold_degree(f: FnTable, gamma: Fraction) -> DegreeAnswer:
@@ -198,17 +364,16 @@ def smooth_threshold_degree(f: FnTable, gamma: Fraction) -> DegreeAnswer:
     gamma = F(gamma)
     if gamma < 0 or gamma > 1:
         raise PreconditionError("gamma must lie in [0, 1]")
-    columns = _sign_columns(f)
-    value, primal, x = _ladder(f.domain, columns, gamma)
+    value, primal, dual = _ladder(_boolean(f), _SIGN_COLUMNS, gamma)
     best_mu: FnTable | None = None
-    if x is not None:
-        floor = gamma / len(columns)
-        best_mu = FnTable(f.domain, {p: floor + v for (p, _, _), v in zip(columns, x)})
-        if best_mu.total() != 1 or any(best_mu(p) < floor for p, _, _ in columns):
-            raise VerificationError("smooth witness failed distribution re-check")
-        twisted = best_mu.hadamard(sign_table(f))
-        if orth(twisted, cap=value - 1) is not None:
-            raise VerificationError("smooth witness orthogonality failed re-check")
+    if dual is not None:
+        points = _points(f.domain)
+        floor = gamma / len(points)
+        # dual = s_p x_p with x_p >= 0, and mu = floor + x
+        w = dual.entries
+        mu = {p: floor - w.get(p, 0) if p in f.entries else floor + w.get(p, 0) for p in points}
+        best_mu = FnTable(f.domain, {p: v for p, v in mu.items() if v}, _trusted=True)
+        check_smooth_witness(f, best_mu, gamma, value)
     return DegreeAnswer(value=value, primal=primal, dual=best_mu, gamma=gamma)
 
 
@@ -300,16 +465,14 @@ def iii_approx_degree(f: PartialFn, i0: Interval, i1: Interval, istar: Interval,
     margin = F(margin)
     bands = {"0": i0.realized(margin), "1": i1.realized(margin), "*": istar.realized(margin)}
     ends = {p: bands[f.value(p)] for p in _points(f.domain)}
-    columns: list[Column] = []
-    for p, (lo, hi) in ends.items():
-        if lo is not None:
-            columns.append((p, 1, lo))
-        if hi is not None:
-            columns.append((p, -1, -hi))
-    value, primal, x = _ladder(f.domain, columns, F(0))
-    dual = None
-    if x is not None:
-        dual = _fold(f.domain, columns, x)
+    # label 0, 1, 2 at the 0-, 1- and star-points: a column per finite end
+    label_columns = []
+    for lo, hi in (bands["0"], bands["1"], bands["*"]):
+        label_columns.append(([(1, lo)] if lo is not None else [])
+                             + ([(-1, -hi)] if hi is not None else []))
+    labels = FnTable(f.domain, {**dict.fromkeys(f.ones, 1), **dict.fromkeys(f.stars, 2)})
+    value, primal, dual = _ladder(labels, label_columns, F(0))
+    if dual is not None:
         _check_approx_dual(dual, value, ends)
     return DegreeAnswer(value=value, primal=primal, dual=dual)
 
@@ -450,7 +613,7 @@ def threshold_density(f: FnTable, cap: int) -> DensityAnswer:
     """
     if cap < 0:
         raise PreconditionError("cap must be nonnegative")
-    dom = f.domain
+    dom = _boolean(f).domain
     if not dom.is_hypercube:
         raise PreconditionError("threshold density defined on the hypercube")
     n = dom.n
@@ -476,8 +639,10 @@ def threshold_density(f: FnTable, cap: int) -> DensityAnswer:
             if any(tuple(-c for c in pat) in patterns for pat in patterns):
                 continue  # antipodal pattern pair: no margin possible
             cols = sorted(patterns)
-            _, q = _weigh([*zip(*cols)], [F(1)] * len(cols), F(0))
+            rows, ends = [*zip(*cols)], [F(1)] * len(cols)
+            _, q = _weigh(rows, [0] * len(rows), ends, F(0))
             if q is not None:
+                _check_primal(q, rows, ends, F(0))
                 return DensityAnswer(value=k, family=family,
                                      coefficients=q, exceeded_cap=False)
     return DensityAnswer(value=cap + 1, family=None, coefficients=None, exceeded_cap=True)

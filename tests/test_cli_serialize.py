@@ -127,13 +127,6 @@ def test_cli_disc2(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1/4"
 
 
-def test_cli_bounds_formulas(capsys):
-    code = main(["bounds", "formulas", "--ell", "2", "--m", "16",
-                 "--degthr", "2", "--c", "1/8"])
-    assert code == 0
-    assert "disc_bound_value" in capsys.readouterr().out
-
-
 def test_cli_bounds_pattern_and_forster(tmp_path, capsys):
     assert main(["bounds", "pattern", "--N", "4", "--n", "2"]) == 0
     assert capsys.readouterr().out.strip() == "norm^2 = 256/1"

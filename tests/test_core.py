@@ -138,20 +138,20 @@ def test_lift_of_or_dual_preserves_orth():
     from ptfwitness.dual_or import build_psi
 
     psi, cert = build_psi(4, 4, F(1, 3))
-    lifted = lift_symmetric_to_cube(psi)
+    lifted = lift_symmetric_to_cube(psi, ((0, 1, 2, 3),))
     assert lifted.l1() == psi.l1() == 1
     assert orth(lifted) == orth(psi) == cert.orth_value
 
 
 def test_lift_symmetric_to_cube():
     phi = FnTable(box([3]), {(0,): F(1), (1,): F(-1)})
-    lifted = lift_symmetric_to_cube(phi)
+    lifted = lift_symmetric_to_cube(phi, ((0, 1, 2),))
     assert lifted((0, 0, 0)) == 1
     assert lifted((1, 0, 0)) == F(-1, 3)
     assert lifted.l1() == phi.l1()
     assert orth(lifted) == orth(phi)
     zero = FnTable(box([2]), {})
-    assert lift_symmetric_to_cube(zero).is_zero()
+    assert lift_symmetric_to_cube(zero, ((0, 1),)).is_zero()
 
 
 def pos_neg_parts(f: FnTable) -> tuple[FnTable, FnTable]:

@@ -1,13 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptfwitness import matrix_bounds
 from ptfwitness.core import FnTable, chi, fourier, hypercube
 from ptfwitness.errors import PreconditionError, VerificationError
 from ptfwitness.matrix_bounds import (
     PatternMatrix,
-    disc_pp_upp_formulas,
     forster_bound,
     pattern_spectral_norm,
     signrank_lb_pattern,
@@ -16,7 +17,13 @@ from ptfwitness.matrix_bounds import (
     staircase_realizations,
     verify_realization,
 )
-from ptfwitness.oracles import parity_table, sign_table, smooth_threshold_degree
+from ptfwitness.oracles import (
+    and_table,
+    bool_table,
+    parity_table,
+    sign_table,
+    smooth_threshold_degree,
+)
 
 F = Fraction
 
@@ -165,11 +172,47 @@ def test_signrank_lift_relation():
         assert lifted.bound_lower == ans.gamma * F(m // 2) ** (ans.value // 2)
 
 
-def test_formula_report():
-    rep = disc_pp_upp_formulas(ell=2, m=16, degthr=2, c=F(1, 8))
-    assert "disc_bound_value" in rep.items
-    rep2 = disc_pp_upp_formulas(disc=F(1, 4))
-    assert abs(rep2.items["pp_lower"] - 3.0) < 1e-12
-    rep3 = disc_pp_upp_formulas(srank=F(1))
-    lo, hi = rep3.items["upp_interval"]
-    assert lo == 0.0 and hi == 2.0
+def test_signrank_lb_rejects_witness_of_another_function():
+    # parity's witness is orthogonal through degree 3, AND's twist of it is not
+    ans = smooth_threshold_degree(parity_table(4), F(1, 2))
+    with pytest.raises(VerificationError):
+        signrank_lb_pattern(and_table(4), ans, T=4)
+
+
+def _witness_holds(f: FnTable, mu: FnTable, gamma, d: int) -> bool:
+    """Test-side re-check: mu is a distribution with floor gamma / 2^n whose
+    twist by (-1)^f has zero correlation with every character of degree < d."""
+    pts = list(f.domain.points())
+    if sum(mu(p) for p in pts) != 1 or any(mu(p) < gamma / len(pts) for p in pts):
+        return False
+    twisted = {p: mu(p) * (-1 if f(p) == 1 else 1) for p in pts}
+    return all(sum(v * chi(frozenset(S), p) for p, v in twisted.items()) == 0
+               for k in range(d) for S in itertools.combinations(range(f.domain.n), k))
+
+
+@st.composite
+def table_pairs(draw):
+    n = draw(st.integers(3, 4))
+    pts = list(hypercube(n).points())
+    f_bits = draw(st.lists(st.booleans(), min_size=2 ** n, max_size=2 ** n))
+    g_bits = draw(st.one_of(st.just(f_bits),
+                            st.lists(st.booleans(), min_size=2 ** n, max_size=2 ** n)))
+    f = bool_table(hypercube(n), [p for p, b in zip(pts, f_bits) if b])
+    g = bool_table(hypercube(n), [p for p, b in zip(pts, g_bits) if b])
+    return f, g
+
+
+@given(table_pairs(), st.sampled_from([F(1, 2), F(1)]))
+@settings(max_examples=60, deadline=None)
+def test_signrank_bound_exactly_when_witness_holds_for_f(pair, gamma):
+    f, g = pair
+    ans = smooth_threshold_degree(g, gamma)
+    if ans.dual is None:
+        with pytest.raises(PreconditionError):
+            signrank_lb_pattern(f, ans, T=2)
+    elif _witness_holds(f, ans.dual, gamma, ans.value):
+        res = signrank_lb_pattern(f, ans, T=2)
+        assert res.d == ans.value and res.gamma == gamma
+    else:
+        with pytest.raises(VerificationError):
+            signrank_lb_pattern(f, ans, T=2)

@@ -142,6 +142,18 @@ def test_degree_oracles_reject_empty_domain():
         smooth_threshold_degree(empty, F(1, 2))
 
 
+def test_degree_and_density_oracles_reject_non_boolean_tables():
+    # a value other than 1 used to be read as 0: this table gave degree 0
+    for entries in ({(0, 0): F(1, 2), (1, 1): F(3)}, {(0, 1): F(1), (1, 0): F(-1)}):
+        f = FnTable(hypercube(2), entries)
+        with pytest.raises(PreconditionError):
+            threshold_degree(f)
+        with pytest.raises(PreconditionError):
+            smooth_threshold_degree(f, F(1, 2))
+        with pytest.raises(PreconditionError):
+            threshold_density(f, cap=2)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_smooth_primal_certifies_upper_bound(n):
     # q of degree <= value with (gamma/|X|) sum s q + (1 - gamma) min s q >= 1:
