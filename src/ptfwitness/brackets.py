@@ -88,6 +88,12 @@ def _ln_atanh(y: Fraction, terms: int) -> Bracket:
     return 2 * acc, 2 * (acc + tail)
 
 
+@cache
+def _ln2(terms: int) -> Bracket:
+    """The ln 2 bracket, computed once per series length."""
+    return _ln_atanh(Fraction(2), terms)
+
+
 def ln_brackets_rational(x: Fraction, terms: int = 24) -> Bracket:
     """Enclose ln(x) for a positive rational x by power-of-two reduction."""
     x = _exact(x)
@@ -96,12 +102,10 @@ def ln_brackets_rational(x: Fraction, terms: int = 24) -> Bracket:
     if x < 1:
         lo, hi = ln_brackets_rational(1 / x, terms)
         return -hi, -lo
+    # floor(x) < 2^(k + 1), so m = x / 2^k lies in [1, 2)
     k = (x.numerator // x.denominator).bit_length() - 1
     m = x / (1 << k)
-    if m > 2:  # can happen when x/2^k is in (2, 2]; renormalize
-        k += 1
-        m = x / (1 << k)
-    ln2_lo, ln2_hi = _ln_atanh(Fraction(2), terms)
+    ln2_lo, ln2_hi = _ln2(terms)
     m_lo, m_hi = _ln_atanh(m, terms)
     return k * ln2_lo + m_lo, k * ln2_hi + m_hi
 
@@ -118,7 +122,7 @@ def one_plus_ln_brackets(n: int, terms: int = 24) -> Bracket:
 def log2_brackets(x: Fraction, terms: int = 24) -> Bracket:
     """Enclose log2(x) = ln(x)/ln(2) for positive rational x."""
     ln_lo, ln_hi = ln_brackets_rational(x, terms)
-    l2_lo, l2_hi = _ln_atanh(Fraction(2), terms)
+    l2_lo, l2_hi = _ln2(terms)
     lo = ln_lo / l2_hi if ln_lo >= 0 else ln_lo / l2_lo
     hi = ln_hi / l2_lo if ln_hi >= 0 else ln_hi / l2_hi
     return lo, hi

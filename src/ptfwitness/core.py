@@ -13,10 +13,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ArtifactError, PreconditionError
+from .errors import PreconditionError
 
 Point = tuple[int, ...]
 
@@ -135,6 +135,15 @@ def weight_slice(base: Domain, lo: int, hi: int) -> Domain:
     if base.window is not None:
         lo, hi = max(lo, base.window[0]), min(hi, base.window[1])
     return Domain(base.bounds, base.offset, (lo, hi))
+
+
+def cleared(values) -> tuple[list[int], int]:
+    """Integer numerators of rationals (ints or Fractions), in order, over
+    their least common positive denominator: (nums, den), each value being
+    its num / den.  `values` is read twice, so it must not be an iterator."""
+    # unpack a list: a generator would leave odd-sized tuples in CPython's free lists
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def add_scaled(acc: dict[Point, Fraction], c, entries: Mapping[Point, Fraction]) -> None:
@@ -398,8 +407,7 @@ def orth(f: FnTable, cap: int | None = None) -> int | None:
         top = min(cap, top)
     if f.is_zero():
         return None
-    den = lcm(*[v.denominator for v in f.entries.values()])
-    weights = [v.numerator * (den // v.denominator) for v in f.entries.values()]
+    weights, _ = cleared(f.entries.values())
     for d, _, row in _monomial_rows(f.domain.bounds, list(f.entries), weights, top):
         if sum(row):
             return d
@@ -613,19 +621,33 @@ def smoothness_constant(f: FnTable, weight_cap: int | None = None) -> Fraction |
 
 def least_poly_degree(f: FnTable) -> int:
     """Least d such that some polynomial of total degree <= d agrees with f
-    everywhere on its domain, decided by exact linear solves of one system
-    that gains the monomials of each degree as d grows."""
-    from .linalg import solve_consistent
+    everywhere on its box; a domain with a weight window raises
+    PreconditionError.
 
-    if f.is_zero():
-        return 0
-    pts = list(f.domain.points())
-    values = [f(p) for p in pts]
-    system: list[list[Fraction]] = [[] for _ in pts]  # system[i][k] = pts[i]^alphas[k]
-    for d, (_, table) in enumerate(monomial_table(f.domain, pts)):
-        for vals in table[len(system[0]):]:
-            for row, v in zip(system, vals):
-                row.append(Fraction(v))
-        if solve_consistent(system, values) is not None:
-            return d
-    raise ArtifactError("the full-degree monomials span every function")
+    Reducing such a polynomial modulo the box's vanishing ideal keeps its
+    degree and leaves the box's one interpolant with exponents alpha_i <=
+    bounds_i.  In the tensor Newton basis on the nodes offset_i ..
+    offset_i + bounds_i, the coefficient of the element with leading
+    monomial x^alpha is the forward difference Delta^alpha f(offset) over
+    alpha!, so the answer is the largest |alpha| with Delta^alpha f(offset)
+    != 0, and 0 for the zero table.  The differences run in integers over
+    one common denominator, one axis at a time.
+    """
+    dom = f.domain
+    if dom.window is not None:
+        raise PreconditionError("least_poly_degree needs a box without a weight window")
+    pts = list(dom.points())
+    nums, _ = cleared([f(p) for p in pts])
+    # points are lexicographic: along axis i, neighbours lie `stride` apart
+    stride = len(nums)
+    for b in dom.bounds:
+        stride //= b + 1
+        block = stride * (b + 1)
+        for start in range(0, len(nums), block):
+            rows = [nums[start + j * stride:start + (j + 1) * stride] for j in range(b + 1)]
+            for k in range(1, b + 1):
+                for j in range(b, k - 1, -1):
+                    rows[j] = list(map(sub, rows[j], rows[j - 1]))
+            nums[start:start + block] = [v for row in rows for v in row]
+    low = sum(dom.offset)
+    return max((sum(p) - low for p, v in zip(pts, nums) if v), default=0)

@@ -3,11 +3,13 @@ otherwise supported on low-weight points, and are orthogonal to all
 polynomials of degree at most d.  They let l1 mass move between regions
 without any low-degree polynomial noticing.
 
-The weight-level values come from the square moment system over the
-levels 0..d with the top level pinned to 1.  Pushed forward blockwise they
-give the anchored corrector on the box below a point u; the hypercube
-corrector is the anchored one below the all-ones point (its value depends
-only on the Hamming weight), and reflecting around a second point gives the
+The weight-level values are Lagrange weights: with the top level n
+pinned to 1, level k <= d carries -L_k(n) / C(n, k), where L_k is the
+Lagrange basis polynomial of the nodes 0..d, so every polynomial of degree
+<= d sums to zero against the table.  Pushed forward blockwise they give
+the anchored corrector on the box below a point u; the hypercube corrector
+is the anchored one below the all-ones point (its value depends only on
+the Hamming weight), and reflecting around a second point gives the
 two-point variant on the cube spanned by a pair of points.
 """
 
@@ -15,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .core import Domain, FnTable, box, orth
 from .errors import ConstructionError, PreconditionError
-from .linalg import solve_square
 
 F = Fraction
 
@@ -41,16 +42,25 @@ class CorrectorCertificate:
 def corrector_levels(n: int, d: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """Weight-level values z_0..z_d with sum_k z_k C(n,k) k^j = -n^j for
     j = 0..d, so that the table (levels, top level = 1) kills all degree-d
-    moments.  Returns (levels, determinant of the moment system)."""
+    moments.  Returns (levels, determinant of the moment system).
+
+    With w_k = z_k C(n, k) the system reads sum_k w_k p(k) = -p(n) for
+    every polynomial p of degree <= d, so w_k = -L_k(n) for the Lagrange
+    basis L_k(t) = prod_{i != k} (t - i) / (k - i) on the nodes 0..d.  The
+    moment matrix [C(n, k) k^j] is the Vandermonde matrix of 0..d, of
+    determinant prod_k k!, times the diagonal of the C(n, k)."""
     if not (0 <= d < n):
         raise PreconditionError("need 0 <= d < n")
-    # k ** j follows the 0^0 = 1 convention, matching the moment basis
-    a = [[F(comb(n, k) * k ** j) for k in range(d + 1)] for j in range(d + 1)]
-    b = [F(-(n ** j)) for j in range(d + 1)]
-    sol, det = solve_square(a, b)
-    if det == 0:
-        raise ConstructionError("singular moment system")
-    return tuple(sol), det
+    levels = []
+    det = 1
+    for k in range(d + 1):
+        lagrange = F(1)
+        for i in range(d + 1):
+            if i != k:
+                lagrange *= F(n - i, k - i)
+        levels.append(-lagrange / comb(n, k))
+        det *= comb(n, k) * factorial(k)
+    return tuple(levels), F(det)
 
 
 def build_zeta_cube(n: int, d: int) -> tuple[FnTable, CorrectorCertificate]:
@@ -87,12 +97,13 @@ def build_zeta_u(u: Point, d: int) -> tuple[FnTable, CorrectorCertificate]:
 
     rec(0, d, ())
     table = FnTable(dom, entries)
+    l1 = table.l1()
     bound = 1 + F(2 ** d * comb(total, d))
-    cert = CorrectorCertificate(n=len(u), d=d, levels=levels, l1=table.l1(),
+    cert = CorrectorCertificate(n=len(u), d=d, levels=levels, l1=l1,
                                 l1_bound=bound, determinant=det, anchor=u)
     if table(u) != 1:
         raise ConstructionError("anchored corrector lost its anchor value")
-    if table.l1() > bound:
+    if l1 > bound:
         raise ConstructionError("anchored corrector l1 exceeds its bound")
     if orth(table, cap=d) is not None:
         raise ConstructionError("anchored corrector failed orthogonality")
@@ -117,10 +128,11 @@ def build_zeta_uv(u: Point, v: Point, d: int) -> tuple[FnTable, CorrectorCertifi
         x = tuple(vi + (1 if ui >= vi else -1) * wi for wi, ui, vi in zip(w, u, v))
         entries[x] = val
     table = FnTable(dom, entries)
+    l1 = table.l1()
     cert = CorrectorCertificate(n=len(u), d=d, levels=base_cert.levels,
-                                l1=table.l1(), l1_bound=base_cert.l1_bound,
+                                l1=l1, l1_bound=base_cert.l1_bound,
                                 determinant=base_cert.determinant, anchor=u, base=v)
-    if table(u) != 1 or table.l1() > cert.l1_bound:
+    if table(u) != 1 or l1 > cert.l1_bound:
         raise ConstructionError("two-point corrector failed its metric checks")
     if orth(table, cap=d) is not None:
         raise ConstructionError("two-point corrector failed orthogonality")

@@ -146,15 +146,14 @@ class PsiCertificate:
         return True
 
 
-def build_psi(n: int, N: int | None = None, eps=F(1, 3), delta=None,
-              weights: list[Fraction] | None = None,
-              envelope_exponent: Fraction = F(1)) -> tuple[FnTable, PsiCertificate]:
+def build_psi(n: int, N: int | None = None, eps=F(1, 3)) -> tuple[FnTable, PsiCertificate]:
     """A unit-l1 dual object for OR on {0..N} with strict sign pattern
     (-1)^t, mass more than (1-eps)/2 at zero, and certified orthogonality.
 
     The inner omega lives on {0..ceil(n/2)} so that shifted and reflected
-    copies cover all of {0..N}.  Fails loudly when the chosen delta is too
-    large to keep the mass at zero above the threshold.
+    copies cover all of {0..N}, mixed in with `default_delta(eps)` and
+    `default_weights(n, N)`; the envelope exponent c'' is 1.  Fails loudly
+    when delta is too large to keep the mass at zero above the threshold.
     """
     eps = F(eps)
     if N is None:
@@ -168,14 +167,8 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3), delta=None,
     scale = 1 / omega_cert.l1
     om = {t: v * scale for (t,), v in omega_t.entries.items()}
 
-    delta = default_delta(eps) if delta is None else F(delta)
-    if delta <= 0:
-        raise PreconditionError("delta must be positive")
-    if weights is None:
-        weights = default_weights(n, N)
-    weights = [F(w) for w in weights]
-    if len(weights) < N or any(w <= 0 for w in weights):
-        raise PreconditionError("need N positive weights")
+    delta = default_delta(eps)
+    weights = default_weights(n, N)
 
     # psi_raw(t) = omega(t) + sum_{1 <= i <= cut} c_i omega(t - i)
     #                        + sum_{cut < i <= N} c_i omega(i - t),
@@ -184,7 +177,7 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3), delta=None,
     # are i = t, which lies in only one of the two ranges.
     cut = N - half
     c = [F(0)] + [delta * w if i % 2 == 0 else -delta * w
-                  for i, w in enumerate(weights[:N], start=1)]
+                  for i, w in enumerate(weights, start=1)]
     psi_raw: dict[int, Fraction] = {}
     for t in range(N + 1):
         acc = om.get(t, F(0))
@@ -210,26 +203,26 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3), delta=None,
     if r is None or r < claimed:
         raise ConstructionError("psi lost the orthogonality of omega")
 
-    # envelope constants, with per-t dyadic brackets for 2^(c'' t / sqrt(n))
-    cpp = F(envelope_exponent)
+    # envelope constants, with per-t dyadic brackets for 2^(c'' t / sqrt(n)), c'' = 1
     inv_lo, inv_hi = inv_sqrt_brackets(n, 24)
     brackets: list[tuple[int, Fraction, Fraction]] = []
     c_prime: Fraction | None = None
     for t in range(N + 1):
-        lo = pow2_brackets(cpp * t * inv_lo)[0]
-        hi = pow2_brackets(cpp * t * inv_hi)[1]
+        lo = pow2_brackets(t * inv_lo)[0]
+        hi = pow2_brackets(t * inv_hi)[1]
         brackets.append((t, lo, hi))
         a = abs(psi_vals[t])
         cand = min(a * (t + 1) ** 2 * lo, 1 / (a * (t + 1) ** 2 * hi))
         c_prime = cand if c_prime is None else min(c_prime, cand)
 
-    cert = PsiCertificate(n=n, N=N, eps=eps, delta=delta, l1=table.l1(),
+    l1 = table.l1()
+    cert = PsiCertificate(n=n, N=N, eps=eps, delta=delta, l1=l1,
                           at_zero=at_zero, sign_ok=sign_ok,
                           orth_claimed=claimed, orth_value=r,
-                          c_prime=c_prime, c_double_prime=cpp,
+                          c_prime=c_prime, c_double_prime=F(1),
                           envelope_brackets=brackets, omega_cert=omega_cert,
                           psi_values=psi_vals)
-    if table.l1() != 1 or not sign_ok or not cert.envelope_holds():
+    if l1 != 1 or not sign_ok or not cert.envelope_holds():
         raise ConstructionError(f"psi failed its own certificate: {cert}")
     return table, cert
 

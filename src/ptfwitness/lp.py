@@ -39,6 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from .core import cleared
 from .errors import ArtifactError, PreconditionError, VerificationError
 
 F = Fraction
@@ -54,9 +55,7 @@ def _cleared(values) -> tuple[list[int], int]:
     positive denominator."""
     if not all(isinstance(v, (int, Fraction)) for v in values):
         raise PreconditionError("LP entries must be ints or Fractions")
-    # unpack a list: a generator would leave odd-sized tuples in CPython's free lists
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return cleared(values)
 
 
 @dataclass

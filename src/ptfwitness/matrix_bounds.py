@@ -12,13 +12,12 @@ The pattern-matrix bound re-checks its smooth witness against its own f.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .brackets import sqrt_brackets, sqrt_lower
-from .core import FnTable, fourier
+from .core import FnTable, cleared, fourier
 from .errors import PreconditionError, VerificationError
 from .linalg import matrix_rank, positive_definite
 from .oracles import DegreeAnswer, check_smooth_witness
@@ -68,10 +67,10 @@ def _pattern_spectrum_max(phi: FnTable, N: int, n: int) -> Fraction:
     den^2 k(z) = sum_V c(z_V) and its transform are integers.
     """
     b = N // n
-    den = math.lcm(*[v.denominator for v in phi.entries.values()])
+    nums, den = cleared(phi.entries.values())
     g = [0] * (1 << n)
-    for p, v in phi.entries.items():
-        g[sum(bit << i for i, bit in enumerate(p))] = v.numerator * (den // v.denominator)
+    for p, v in zip(phi.entries, nums):
+        g[sum(bit << i for i, bit in enumerate(p))] = v
     corr = [sum(g[w] * g[w ^ y] for w in range(1 << n)) for y in range(1 << n)]
     selections = list(itertools.product(*(range(i * b, (i + 1) * b) for i in range(n))))
     spec = [sum(corr[sum(((z >> v) & 1) << i for i, v in enumerate(V))] for V in selections)
@@ -138,8 +137,8 @@ def forster_bound(matrix) -> ForsterBound:
     entries = [v for row in matrix for v in row]
     if not all(isinstance(v, (int, Fraction)) and v != 0 for v in entries):
         raise PreconditionError("entries must be nonzero ints or Fractions")
-    den = math.lcm(*[v.denominator for v in entries])
-    a = [[v.numerator * (den // v.denominator) for v in row] for row in matrix]
+    nums, den = cleared(entries)
+    a = [nums[i:i + cols] for i in range(0, len(nums), cols)]
     if rows > cols:
         a = [list(col) for col in zip(*a)]
     gram = [[sum(map(mul, r, s)) for s in a] for r in a]  # den^2 G

@@ -52,13 +52,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import Iterable, Sequence
 
 from .core import (
     Domain,
     FnTable,
+    cleared,
     eval_monomial,
     hypercube,
     lift_symmetric_to_cube,
@@ -126,14 +127,12 @@ def _check_primal(q: list[Fraction], rows: list[list[int]], ends: list[Fraction]
     """Re-check (gamma/N) sum_v sigma_v q(p_v) + (1 - gamma) min_v (sigma_v
     q(p_v) - e_v) >= gamma in integers, with rows[k][v] = sigma_v B_k(p_v):
     sq_v = den * sigma_v q(p_v) and e_v = es_v / de over common denominators."""
-    den = lcm(*[c.denominator for c in q])
+    qs, den = cleared(q)
     sq = [0] * len(ends)
-    for c, row in zip(q, rows):
-        if c:
-            k = c.numerator * (den // c.denominator)
+    for k, row in zip(qs, rows):
+        if k:
             sq = [a + k * v for a, v in zip(sq, row)]
-    de = lcm(*[e.denominator for e in ends])
-    es = [e.numerator * (de // e.denominator) for e in ends]
+    es, de = cleared(ends)
     g, h = gamma.numerator, gamma.denominator
     n = len(ends) or 1
     slack = min((de * a - den * e for a, e in zip(sq, es)), default=0)
@@ -537,8 +536,8 @@ def discrepancy_2party(matrix: Sequence[Sequence[int]]) -> DiscrepancyAnswer:
         raise PreconditionError("entries must be +-1")
     if rows + cols > MAX_GAME_SIDE_SUM:
         raise PreconditionError(
-            "matrix too large for exact rectangle enumeration; "
-            "use the closed-form evaluators in matrix_bounds instead")
+            "matrix too large for exact rectangle enumeration: rows + columns = "
+            f"{rows + cols} exceeds {MAX_GAME_SIDE_SUM}")
     cells = [(x, y) for x in range(rows) for y in range(cols)]
     rects = [(A, B) for A in _nonempty_subsets(rows) for B in _nonempty_subsets(cols)]
     columns: list[tuple[Rectangle, int]] = []

@@ -64,8 +64,6 @@ def select_heavy_set(v, theta) -> HeavySet:
     order = sorted(range(n), key=lambda i: (-abs(v[i]), i))
     mags = [abs(v[i]) for i in order]
 
-    chosen = 0  # prefix length of `order` selected so far
-
     def grow(start: int) -> int:
         """Smallest prefix length k > start of the remaining suffix order
         meeting both regularity conditions for the remaining vector."""
@@ -80,7 +78,7 @@ def select_heavy_set(v, theta) -> HeavySet:
                 return start + k
         raise ConstructionError("no regular prefix found; bracket too loose")
 
-    chosen = grow(0)
+    chosen = grow(0)  # prefix length of `order` selected so far
     while sum(mags[chosen:]) >= theta:
         chosen = grow(chosen)
 

@@ -309,6 +309,13 @@ def test_least_poly_degree_univariate():
     assert least_poly_degree(f) == 2
 
 
+def test_least_poly_degree_rejects_weight_window():
+    dom = weight_slice(hypercube(3), 1, 2)
+    f = FnTable(dom, {p: F(1) for p in dom.points()})
+    with pytest.raises(PreconditionError):
+        least_poly_degree(f)
+
+
 def test_orth_capped_exponents_match_uncapped():
     # the per-coordinate exponent caps rely on reduction modulo the box's
     # vanishing ideal; compare against a scan over unrestricted exponents

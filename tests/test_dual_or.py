@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from ptfwitness import dual_or
 from ptfwitness.core import FnTable, box, inner_product
 from ptfwitness.dual_or import (
     _omega_spec,
@@ -104,9 +105,10 @@ def test_psi_padded_domain():
     assert cert.envelope_holds()
 
 
-def test_psi_delta_too_large_fails():
-    with pytest.raises(ConstructionError):
-        build_psi(4, 4, F(1, 3), delta=F(50))
+def test_psi_delta_too_large_fails(monkeypatch):
+    monkeypatch.setattr(dual_or, "default_delta", lambda eps: F(50))
+    with pytest.raises(ConstructionError, match="delta 50 too large"):
+        build_psi(4, 4, F(1, 3))
 
 
 def test_psi_tiny_eps_for_heavy_zero():
