@@ -21,7 +21,13 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .brackets import e_brackets, log2_brackets, one_plus_ln_brackets, sqrt_brackets
+from .brackets import (
+    e_brackets,
+    inv_sqrt_brackets,
+    log2_brackets,
+    one_plus_ln_brackets,
+    sqrt_brackets,
+)
 from .circuits import CircuitDesc, Gate, mp_star_table
 from .core import (
     Domain,
@@ -37,7 +43,7 @@ from .core import (
 from .dual_mp import build_mp_smooth_witness, build_mp_witness
 from .errors import ConstructionError, PreconditionError
 from .mixtures import FamilySpec, ProductMixture
-from .oracles import sign_table
+from .oracles import bool_table, eval_poly, sign_table
 from .smooth_ops import redistribute, weight_reduce_convex, zero_out_heavy_convex
 
 F = Fraction
@@ -245,8 +251,6 @@ def booleanize(z: Point, m: int, r: int, d: int, theta: int,
     for zi in z:
         part = mix1 if zi else mix0
         mix = part if mix is None else mix.tensor_with(part)
-    from .brackets import inv_sqrt_brackets
-
     inv_lo, _ = inv_sqrt_brackets(r)
     family = FamilySpec(kind="bounded", r=r, c=gadget.c1,
                         alpha=gadget.c2 * inv_lo, delta=1)
@@ -277,8 +281,6 @@ def z_degree_of_expectations(tables: dict[Point, FnTable],
     """Degree, in z, of z -> expectation of the polynomial under the z-indexed
     distributions, over every z of a hypercube.  The multilinear interpolant
     is unique, so its degree is the least degree of a fitting polynomial."""
-    from .oracles import eval_poly
-
     if not tables:
         raise PreconditionError("no values to interpolate")
     cube = hypercube(len(next(iter(tables))))
@@ -309,8 +311,6 @@ def compose_table(f: FnTable, m: int, R: int, theta: int | None = None) -> FnTab
         zvec = tuple(int(all(v >= 1 for v in p[i * m:(i + 1) * m])) for i in range(n))
         if f(zvec) == 1:
             ones.append(p)
-    from .oracles import bool_table
-
     return bool_table(dom, ones)
 
 
@@ -509,15 +509,11 @@ def _coset_terms(g: GMap, syndrome: tuple[int, ...], block_offset: int):
         yield [lit for part in combo for lit in part]
 
 
-def amplify_circuit_once(f_circuit: CircuitDesc, m: int, theta: int,
-                         negate_h: bool = False
+def amplify_circuit_once(f_circuit: CircuitDesc, m: int, theta: int
                          ) -> tuple[CircuitDesc, AmplifyCircuitInfo]:
     """Compose a circuit with one hardness-amplification layer: every input
     becomes an AND of m DNFs, each DNF checking that some block of the
     compressed input encodes the matching basis label.
-
-    With negate_h=True the composition feeds the complements of the layer
-    outputs into the circuit instead (an OR-AND-OR layer).
     """
     n = f_circuit.n_inputs
     g, _ = build_g(n * m)
@@ -549,8 +545,7 @@ def amplify_circuit_once(f_circuit: CircuitDesc, m: int, theta: int,
 
     def remap(ref):
         if ref[0] == "lit":
-            want_neg = ref[2] != negate_h
-            return not_h_gates[ref[1]] if want_neg else h_gates[ref[1]]
+            return not_h_gates[ref[1]] if ref[2] else h_gates[ref[1]]
         return ("gate", ref[1] + offset)
 
     offset = len(out.gates)

@@ -49,6 +49,7 @@ from .oracles import (
 )
 from .serialize import (
     SCHEMA_VERSION,
+    circuit_from_json,
     dumps,
     frac_str,
     matrix_from_csv,
@@ -265,8 +266,6 @@ def cmd_verify(args) -> int:
               f"distribution = {table.is_distribution()}")
         return 0
     if schema.startswith("circuit/"):
-        from .serialize import circuit_from_json
-
         circ = circuit_from_json(data)
         print(f"PASS circuit: size {circ.size()}, depth {circ.depth()}")
         return 0

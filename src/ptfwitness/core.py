@@ -467,13 +467,6 @@ def _check_partition(blocks: tuple[tuple[int, ...], ...], n: int) -> None:
         raise PreconditionError("blocks must partition the coordinates")
 
 
-def _check_blocks(domain: Domain, blocks: tuple[tuple[int, ...], ...]) -> None:
-    _check_partition(blocks, domain.n)
-    for blk in blocks:
-        if len(blk) > 1 and any(domain.bounds[i] != 1 or domain.offset[i] for i in blk):
-            raise PreconditionError("a block of several coordinates needs bound 1 and offset 0")
-
-
 def orbit_sizes(blocks: tuple[tuple[int, ...], ...], weights: Iterable[Point]) -> list[int]:
     """For each vector t of block weights, the number of points with those
     weights: prod_k C(|block_k|, t_k) over the blocks of several coordinates."""
@@ -487,31 +480,6 @@ def orbit_sizes(blocks: tuple[tuple[int, ...], ...], weights: Iterable[Point]) -
     return sizes
 
 
-def symmetrize(f: FnTable, blocks: tuple[tuple[int, ...], ...]) -> FnTable:
-    """Average a table over the points with given block weights.
-
-    The blocks partition the coordinates; a block of several coordinates
-    holds coordinates of bound 1 and offset 0, and a one-coordinate block
-    keeps its coordinate's range.  Output lives on the box of block weights,
-    under the same weight window; its value at t is the average of f over
-    the orbit of points whose k-th block has weight t_k.
-    """
-    dom = f.domain
-    _check_blocks(dom, blocks)
-    sums: dict[Point, Fraction] = {}
-    for p, v in f.entries.items():
-        t = tuple([p[blk[0]] if len(blk) == 1 else sum([p[i] for i in blk]) for blk in blocks])
-        s = sums.get(t)
-        sums[t] = v if s is None else s + v
-    wdom = Domain(tuple(sum(dom.bounds[i] for i in blk) for blk in blocks),
-                  tuple(sum(dom.offset[i] for i in blk) for blk in blocks), dom.window)
-    out = {}
-    for (t, s), size in zip(sums.items(), orbit_sizes(blocks, sums)):
-        if s:
-            out[t] = s / size if size > 1 else s
-    return FnTable(wdom, out, _trusted=True)
-
-
 def lift_symmetric_to_cube(phi: FnTable, blocks: tuple[tuple[int, ...], ...]) -> FnTable:
     """Spread a table on a box of block weights uniformly over each orbit:
     phi(t) / |orbit(t)| at every point whose k-th block has weight t_k.
@@ -519,8 +487,8 @@ def lift_symmetric_to_cube(phi: FnTable, blocks: tuple[tuple[int, ...], ...]) ->
     Coordinate k of phi becomes the coordinates blocks[k]: 0/1 coordinates
     when the block has several (phi's coordinate must then range over
     0..|block|), and a copy of phi's coordinate when it has one.  The
-    window is kept.  This inverts `symmetrize` on tables constant on
-    orbits, and preserves the l1 norm and the orthogonal content.
+    window is kept.  A table constant on orbits is the lift of its orbit
+    sums, and the lift preserves the l1 norm and the orthogonal content.
     """
     bdom = phi.domain
     if len(blocks) != bdom.n:
@@ -559,7 +527,8 @@ def point_mass(domain: Domain, p: Point) -> FnTable:
 
 
 def uniform(domain: Domain, exclude: Iterable[Point] = ()) -> FnTable:
-    pts = [p for p in domain.points() if p not in set(map(tuple, exclude))]
+    skip = set(map(tuple, exclude))
+    pts = [p for p in domain.points() if p not in skip]
     if not pts:
         raise PreconditionError("uniform distribution over empty set")
     w = Fraction(1, len(pts))

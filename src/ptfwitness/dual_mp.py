@@ -31,6 +31,7 @@ from .core import (
     point_mass,
     smoothness_constant,
     tensor_power,
+    tighten_domain,
     uniform,
 )
 from .dual_or import PsiCertificate, build_psi
@@ -286,9 +287,6 @@ def build_mp_smooth_witness(m: int, r: int, R: int
         raise ConstructionError("tensor sandwich re-check failed")
 
     convex_ok = lam_0.coefficients_convex() and lam_1.coefficients_convex()
-    from .core import tighten_domain
-    from .mixtures import FamilySpec
-
     k_factor = max(
         smoothness_constant(tighten_domain(lam)) for lam in (lam0, lam1, lam2))
     fam = FamilySpec(kind="smooth", n=1, K=k_factor, delta=1)

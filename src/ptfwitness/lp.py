@@ -1,11 +1,13 @@
-"""Exact rational linear programming over nonnegative variables.
+"""Exact rational linear programming in standard form: A x = b, x >= 0.
 
-Every variable is nonnegative, and is one column of the tableau.  A dense
-two-phase simplex with Bland's anti-cycling rule, so every solve is
-deterministic across runs and platforms.  LPProblem.add clears each
-constraint's denominators once and stores it as a row (nums, rel, rhs, den):
-the constraint nums . x rel rhs over integers, all divided by one positive
-den.  Entries must be ints or Fractions.
+Every variable is nonnegative, and is one column of the tableau.  Every
+constraint is an equality; a caller with an inequality adds its own slack
+variable s >= 0, posing a . x + s == b for a . x at most b and a . x - s == b
+for a . x at least b.  A dense two-phase simplex with Bland's anti-cycling
+rule, so every solve is deterministic across runs and platforms.
+LPProblem.add clears each constraint's denominators once and stores it as a
+row (nums, rhs, den): the constraint nums . x == rhs over integers, all
+divided by one positive den.  Entries must be ints or Fractions.
 
 The tableau starts from those rows as they are and stays fraction-free: each
 row is a list of Python ints over one positive row denominator, divided by
@@ -17,19 +19,15 @@ ratio test rhs_i / a_i compares the same quotients as integer
 cross-products, the row denominator cancelling.  The pivot sequence, the
 final basis and every returned value are therefore those of the plain
 Fraction tableau; Fractions appear only at the boundary, in the returned
-point, multipliers, ray and objective value.
+point, multipliers and objective value.
 
 Every answer carries a certificate that is re-verified in integer
 arithmetic before it is returned: a feasible point is cleared to integers
-and substituted into all constraints, a Farkas witness is scaled to
-integers and checked to combine the constraints into the contradiction
-0 >= positive, and an unbounded answer's point and recession ray are
-checked to stay feasible while the objective falls.
-
-Constraint relations are "<=", ">=", "==".  Farkas sign convention: the
-multiplier vector y satisfies y_i <= 0 on "<=" rows, y_i >= 0 on ">=" rows,
-is free on "==" rows, sum_i y_i a_i <= 0 componentwise, and
-sum_i y_i b_i > 0.
+and substituted into all constraints, and a Farkas vector y, free in sign,
+is scaled to integers and checked to have sum_i y_i a_i <= 0 componentwise
+and sum_i y_i b_i > 0, so that every x >= 0 would give the contradiction
+0 >= (sum_i y_i a_i) . x = sum_i y_i b_i > 0.  An objective unbounded below
+on the feasible set raises PreconditionError.
 """
 
 from __future__ import annotations
@@ -44,10 +42,8 @@ from .errors import ArtifactError, PreconditionError, VerificationError
 
 F = Fraction
 
-# (nums, rel, rhs, den): the constraint nums . x rel rhs, all over den > 0
-Row = tuple[list[int], str, int, int]
-
-_RELS = ("<=", ">=", "==")
+# (nums, rhs, den): the constraint nums . x == rhs, all over den > 0
+Row = tuple[list[int], int, int]
 
 
 def _cleared(values) -> tuple[list[int], int]:
@@ -67,48 +63,43 @@ class LPProblem:
     rows: list[Row] = field(default_factory=list, init=False)
     objective: list[Fraction] | None = None
 
-    def add(self, coeffs, rel: str, rhs) -> None:
-        if rel not in _RELS:
-            raise PreconditionError(f"unknown relation {rel!r}")
+    def add(self, coeffs, rhs) -> None:
+        """The row coeffs . x == rhs."""
         nums, den = _cleared([*coeffs, rhs])
         if len(nums) != self.n_vars + 1:
             raise PreconditionError("row length mismatch")
         rhs = nums.pop()
-        self.rows.append((nums, rel, rhs, den))
+        self.rows.append((nums, rhs, den))
 
 
 @dataclass
 class LPCertificate:
-    status: str  # "feasible" | "optimal" | "infeasible" | "unbounded"
+    status: str  # "feasible" | "optimal" | "infeasible"
     x: list[Fraction] | None = None
     objective_value: Fraction | None = None
     farkas: list[Fraction] | None = None
     duals: list[Fraction] | None = None
-    # "unbounded": x is feasible and x + t * ray stays feasible for all t >= 0
-    # while the objective decreases without bound
-    ray: list[Fraction] | None = None
 
 
-def _check_point(problem: LPProblem, v, what: str, ray: bool = False) -> tuple[list[int], int]:
-    """Check a point, or a recession ray, against every row in integers:
-    with v = nums / m, row (a, rel, b, den) needs a . nums rel b * m for a
-    point and a . nums rel 0 for a ray.  Returns (nums, m)."""
+def _check_point(problem: LPProblem, v) -> tuple[list[int], int]:
+    """Check a point against every row in integers: with v = nums / m, row
+    (a, b, den) needs a . nums == b * m.  Returns (nums, m)."""
     if v is None or len(v) != problem.n_vars:
-        raise VerificationError(f"missing {what}")
+        raise VerificationError("missing primal point")
     nums, m = _cleared(v)
     if any(a < 0 for a in nums):
-        raise VerificationError(f"{what} has a negative entry")
-    for coeffs, rel, rhs, _ in problem.rows:
-        lhs, b = sum(map(mul, coeffs, nums)), 0 if ray else rhs * m
-        if not ((lhs <= b) if rel == "<=" else (lhs >= b) if rel == ">=" else (lhs == b)):
-            raise VerificationError(f"{what} violates a constraint: {lhs} {rel} {b}")
+        raise VerificationError("primal point has a negative entry")
+    for coeffs, rhs, _ in problem.rows:
+        lhs, b = sum(map(mul, coeffs, nums)), rhs * m
+        if lhs != b:
+            raise VerificationError(f"primal point violates a constraint: {lhs} != {b}")
     return nums, m
 
 
 def verify_certificate(problem: LPProblem, cert: LPCertificate) -> None:
     """Exact re-check in integers; raises VerificationError on any failure."""
     if cert.status in ("feasible", "optimal"):
-        x, m = _check_point(problem, cert.x, "primal point")
+        x, m = _check_point(problem, cert.x)
         if cert.status == "optimal" and problem.objective is not None:
             if cert.objective_value is None:
                 raise VerificationError("objective value mismatch")
@@ -124,26 +115,17 @@ def verify_certificate(problem: LPProblem, cert: LPCertificate) -> None:
         L = lcm(*[den for *_, den in problem.rows])
         combo = [0] * problem.n_vars
         rhs_combo = 0
-        for w, (coeffs, rel, rhs, den) in zip(yn, problem.rows):
-            if rel == "<=" and w > 0:
-                raise VerificationError("farkas sign error on <= row")
-            if rel == ">=" and w < 0:
-                raise VerificationError("farkas sign error on >= row")
+        for w, (coeffs, rhs, den) in zip(yn, problem.rows):
             if w:
                 k = w * (L // den)
                 combo = [a + k * c for a, c in zip(combo, coeffs)]
                 rhs_combo += k * rhs
-        # every feasible x >= 0 has sum_i y_i b_i <= (sum_i y_i a_i) . x <= 0
+        # every feasible x >= 0 has sum_i y_i b_i = (sum_i y_i a_i) . x <= 0
         # when sum_i y_i a_i <= 0, so a positive rhs is a contradiction
         if any(c > 0 for c in combo):
             raise VerificationError("farkas residual positive on a variable")
         if rhs_combo <= 0:
             raise VerificationError("farkas rhs combination not positive")
-    elif cert.status == "unbounded":
-        _check_point(problem, cert.x, "primal point")
-        ray, _ = _check_point(problem, cert.ray, "recession ray", ray=True)
-        if problem.objective is None or sum(map(mul, _cleared(problem.objective)[0], ray)) >= 0:
-            raise VerificationError("ray does not decrease the objective")
     else:
         raise VerificationError(f"unknown status {cert.status!r}")
 
@@ -234,29 +216,21 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
     if objective is not None and len(objective) != n:
         raise PreconditionError("objective length mismatch")
 
-    # column layout: column j is variable j; then one slack per inequality
-    # row; then one artificial per row, art0 + i for row i.
-    ncols = n
-    slack_col = {}
-    for i, (_, rel, _, _) in enumerate(problem.rows):
-        if rel != "==":
-            slack_col[i] = ncols
-            ncols += 1
+    # column layout: column j is variable j; then one artificial per row,
+    # art0 + i for row i.
     m = len(problem.rows)
-    art0 = ncols
-    ncols += m
+    art0 = n
+    ncols = n + m
 
     # constraint rows as stored, times the sign sigma_i that makes the
     # right-hand side nonnegative
     T: list[list[int]] = []
     D: list[int] = []
     sigma = []
-    for i, (coeffs, rel, rhs, den) in enumerate(problem.rows):
+    for i, (coeffs, rhs, den) in enumerate(problem.rows):
         s = 1 if rhs >= 0 else -1
         sigma.append(s)
-        row = [s * c for c in coeffs] + [0] * (ncols - n + 1)
-        if rel != "==":
-            row[slack_col[i]] = s * den if rel == "<=" else -s * den
+        row = [s * c for c in coeffs] + [0] * (m + 1)
         row[art0 + i] = den
         row[-1] = s * rhs
         T.append(row)
@@ -295,15 +269,9 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
                     _pivot(T, D, basis, i, j)
                     break
 
-    def point(colval: dict[int, Fraction]) -> list[Fraction]:
-        return [colval.get(j, F(0)) for j in range(n)]
-
-    def basic_point() -> list[Fraction]:
-        return point({basis[i]: F(T[i][-1], D[i]) for i in range(m)})
-
     if objective is not None:
         obj, dc = _cleared(objective)
-        cost = obj + [0] * (ncols - n + 1)
+        cost = obj + [0] * (m + 1)
         for i in range(m):
             f = cost[basis[i]]
             if f:
@@ -317,21 +285,14 @@ def _solve_raw(problem: LPProblem) -> LPCertificate:
                     dc //= g
         T[-1] = cost
         D[-1] = dc
-        enter = _bland_iterate(T, D, basis, art0)
-        if enter >= 0:
-            # the basic point, and the edge along which the entering column
-            # grows while no basic column is driven negative
-            ray = {enter: F(1)}
-            for i in range(m):
-                if T[i][enter]:
-                    ray[basis[i]] = F(-T[i][enter], D[i])
-            return LPCertificate(status="unbounded", x=basic_point(),
-                                 ray=point(ray))
+        if _bland_iterate(T, D, basis, art0) >= 0:
+            raise PreconditionError("objective unbounded below on the feasible set")
 
-    x = basic_point()
-    if objective is not None:
-        cost, dc = T[-1], D[-1]
-        duals = [s * F(-cost[art0 + i], dc) for i, s in enumerate(sigma)]
-        return LPCertificate(status="optimal", x=x, objective_value=F(-cost[-1], dc),
-                             duals=duals)
-    return LPCertificate(status="feasible", x=x)
+    colval = {basis[i]: F(T[i][-1], D[i]) for i in range(m)}
+    x = [colval.get(j, F(0)) for j in range(n)]
+    if objective is None:
+        return LPCertificate(status="feasible", x=x)
+    cost, dc = T[-1], D[-1]
+    duals = [s * F(-cost[art0 + i], dc) for i, s in enumerate(sigma)]
+    return LPCertificate(status="optimal", x=x, objective_value=F(-cost[-1], dc),
+                         duals=duals)

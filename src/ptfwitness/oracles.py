@@ -66,7 +66,6 @@ from .core import (
     monomial_table,
     orbit_sizes,
     orth,
-    symmetrize,
 )
 from .errors import ArtifactError, PreconditionError, VerificationError
 from .lp import LPProblem, solve
@@ -148,14 +147,14 @@ def _weigh(rows: list[list[int]], rhs: list[Fraction], ends: list[Fraction], gam
     coefficient of B_k; the caller re-checks q by _check_primal."""
     prob = LPProblem(len(ends))
     for row, b in zip(rows, rhs):
-        prob.add(row, "==", b)
-    prob.add(ends, "==", 1 - gamma)
+        prob.add(row, b)
+    prob.add(ends, 1 - gamma)
     cert = solve(prob)
     if cert.status != "infeasible":
         return cert.x, None
     # y = (z, w): sigma_v z(p_v) + e_v w <= 0 and r = sum_i y_i b_i, so q = -z/r
     # has sigma_v q(p_v) >= e_v w/r and (gamma/M) sum_v m_v sigma_v q(p_v) = 1 - (1 - gamma) w/r
-    r = sum((y * F(b, d) for y, (_, _, b, d) in zip(cert.farkas, prob.rows) if y), F(0))
+    r = sum((y * F(b, d) for y, (_, b, d) in zip(cert.farkas, prob.rows) if y), F(0))
     return None, [-z / r for z in cert.farkas[:-1]]
 
 
@@ -272,9 +271,17 @@ def _ladder(labels: FnTable, label_columns: Sequence[list[tuple[int, Fraction]]]
     sum_v sigma_v x_v of the last feasible level spread evenly over each
     orbit (None when the value is 0).
     """
-    points = _points(labels.domain)
+    dom = labels.domain
+    points = _points(dom)
     classes = _twin_classes(labels)
-    orbits = symmetrize(labels, classes)
+    # twins leave the labels unchanged, so every point of an orbit has one
+    # label: the orbit table looks it up at the orbit's class weights
+    out: dict[Point, Fraction] = {}
+    for p, v in labels.entries.items():
+        out.setdefault(tuple([sum([p[i] for i in blk]) for blk in classes]), v)
+    wdom = Domain(tuple(sum(dom.bounds[i] for i in blk) for blk in classes),
+                  tuple(sum(dom.offset[i] for i in blk) for blk in classes), dom.window)
+    orbits = FnTable(wdom, out, _trusted=True)
     counts = list(orbits.domain.points())
     size = dict(zip(counts, orbit_sizes(classes, counts)))
     columns = _columns(orbits, counts, label_columns)
@@ -291,7 +298,7 @@ def _ladder(labels: FnTable, label_columns: Sequence[list[tuple[int, Fraction]]]
         rhs += [-floor * sum(map(mul, sizes, row)) if floor else 0 for row in added]
         weights, q = _weigh(rows, rhs, ends, gamma)
         if q is not None:
-            primal = _expand({a: c for a, c in zip(alphas, q) if c}, classes, labels.domain.n)
+            primal = _expand({a: c for a, c in zip(alphas, q) if c}, classes, dom.n)
             cube = _columns(labels, points, label_columns)
             _check_primal(list(primal.values()), _rows(primal, cube),
                           [e for _, _, e in cube], gamma)
@@ -524,7 +531,8 @@ def discrepancy_2party(matrix: Sequence[Sequence[int]]) -> DiscrepancyAnswer:
     pays at least the value on every cell, is re-checked to certify that no
     distribution does better.  The value is positive (the uniform mixture of
     singletons signed like the matrix pays on every cell), so the LP
-    variable v that holds it is nonnegative like the weights.
+    variable v that holds it is nonnegative like the weights, and at most 1,
+    so the objective -v is bounded.
     """
     if not matrix or not matrix[0]:
         raise PreconditionError("empty matrix")
@@ -552,16 +560,20 @@ def discrepancy_2party(matrix: Sequence[Sequence[int]]) -> DiscrepancyAnswer:
             return sgn * matrix[x][y]
         return 0
 
-    nq = len(columns)
-    prob = LPProblem(nq + 1)
-    for cell in cells:
-        prob.add([payoff(c, cell) for c in columns] + [-1], ">=", 0)
-    prob.add([1] * nq + [0], "==", 1)
-    prob.objective = [0] * nq + [-1]
+    # variables: the column weights, v at nq, and one surplus per cell, so
+    # that cell i's row reads pay_i - v - surplus_i == 0
+    nq, nc = len(columns), len(cells)
+    prob = LPProblem(nq + 1 + nc)
+    for i, cell in enumerate(cells):
+        surplus = [0] * nc
+        surplus[i] = -1
+        prob.add([payoff(c, cell) for c in columns] + [-1] + surplus, 0)
+    prob.add([1] * nq + [0] * (1 + nc), 1)
+    prob.objective = [0] * nq + [-1] + [0] * nc
     cert = solve(prob)
     if cert.status != "optimal":
         raise VerificationError("game LP did not reach an optimum")
-    value = cert.x[-1]
+    value = cert.x[nq]
     duals = cert.duals[: len(cells)]
     total = sum(duals, F(0))
     if total == 0:

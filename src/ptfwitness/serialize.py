@@ -20,7 +20,7 @@ SCHEMA_VERSION = "1"
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+    """An int or a Fraction as "p/q" in lowest terms."""
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .brackets import e_brackets, one_plus_ln_brackets, pow2_brackets, sqrt_lower
+from .brackets import e_brackets, one_plus_ln_brackets, pow2_brackets, pow_brackets, sqrt_lower
 from .core import Domain, FnTable, add_scaled, orth, smoothness_constant, tighten_domain
 from .corrector import build_zeta_u, build_zeta_uv
 from .errors import ConstructionError, PreconditionError
@@ -160,8 +160,6 @@ def _rational_pow_lower(base: Fraction, expo: Fraction, bits: int = 24) -> Fract
         return F(1)
     if expo.denominator == 2:
         return sqrt_lower(base ** expo.numerator, bits)
-    from .brackets import pow_brackets
-
     return pow_brackets(base, expo, bits)[0]
 
 

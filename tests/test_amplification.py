@@ -339,13 +339,3 @@ def test_amplify_negated_input_path():
     for _ in range(40):
         x = tuple(rng.randint(0, 1) for _ in range(info.width))
         assert circ.evaluate(x) == f.evaluate(info.h_value(x))
-
-
-def test_amplify_negated_layer():
-    f = mp(2, 1)  # AND of two single-input ORs
-    circ, info = amplify_circuit_once(f, m=1, theta=2, negate_h=True)
-    rng = random.Random(17)
-    for _ in range(40):
-        x = tuple(rng.randint(0, 1) for _ in range(info.width))
-        h = info.h_value(x)
-        assert circ.evaluate(x) == f.evaluate(tuple(1 - b for b in h))

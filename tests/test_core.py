@@ -21,7 +21,6 @@ from ptfwitness.core import (
     monomial_table,
     monomials,
     orth,
-    symmetrize,
     tensor,
     tensor_power,
     weight_slice,
@@ -119,19 +118,6 @@ def test_fourier_and2_sign_table():
 def test_fourier_rejects_box():
     with pytest.raises(PreconditionError):
         fourier(FnTable(box([2]), {(2,): F(1)}))
-
-
-def test_symmetrize_product_and_coordinate():
-    dom = hypercube(2)
-    prod = FnTable(dom, {(1, 1): F(1)})
-    s = symmetrize(prod, ((0, 1),))
-    assert [s((t,)) for t in range(3)] == [0, 0, 1]
-    x1 = FnTable(dom, {(1, 0): F(1), (1, 1): F(1)})
-    s1 = symmetrize(x1, ((0, 1),))
-    assert [s1((t,)) for t in range(3)] == [0, F(1, 2), 1]
-    one = FnTable(dom, {p: F(1) for p in dom.points()})
-    so = symmetrize(one, ((0, 1),))
-    assert all(so((t,)) == 1 for t in range(3))
 
 
 def test_lift_of_or_dual_preserves_orth():
@@ -239,26 +225,6 @@ def test_fourier_coefficient_bound(f):
     coeffs = fourier(f)
     bound = f.l1() / 4  # 2^-n at n = 2
     assert all(abs(c) <= bound for c in coeffs.values())
-
-
-@given(st.lists(st.integers(-3, 3), min_size=8, max_size=8))
-@settings(max_examples=30, deadline=None)
-def test_symmetrize_degree_drop(vals):
-    # a random cubic polynomial on {0,1}^3, evaluated then symmetrized,
-    # interpolates to a univariate polynomial of degree <= 3
-    dom = hypercube(3)
-    pts = list(dom.points())
-    f = FnTable(dom, {p: F(v) for p, v in zip(pts, vals)})
-    s = symmetrize(f, ((0, 1, 2),))
-    assert least_poly_degree(s) <= 3
-
-
-def test_symmetrize_of_low_degree_polynomial():
-    # p = x1 x2 on {0,1}^4 has degree 2; block-symmetrized table fits degree 2
-    dom = hypercube(4)
-    f = FnTable(dom, {p: F(p[0] * p[1]) for p in dom.points() if p[0] * p[1]})
-    s = symmetrize(f, ((0, 1), (2, 3)))
-    assert least_poly_degree(s) == 2
 
 
 def test_monomial_caps():

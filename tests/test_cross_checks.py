@@ -113,7 +113,7 @@ def test_circuit_de_morgan_dual_preserves_degthr():
 
 def test_lp_problem_serializes():
     p = LPProblem(2)
-    p.add([F(1), F(-1)], "<=", F(1, 2))
+    p.add([F(1), F(-1)], F(1, 2))
     text = dumps(p)
     data = json.loads(text)
-    assert data["_type"] == "LPProblem" and data["rows"][0][1] == "<="
+    assert data["_type"] == "LPProblem" and data["rows"] == [[[2, -2], 1, 2]]

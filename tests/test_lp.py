@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lp_forms import standard_form
 from ptfwitness.lp import LPCertificate, LPProblem, solve, verify_certificate
 from ptfwitness.errors import PreconditionError, VerificationError
 
@@ -10,9 +11,7 @@ F = Fraction
 
 
 def test_infeasible_pair():
-    p = LPProblem(1)
-    p.add([1], ">=", 1)
-    p.add([1], "<=", 0)
+    p = standard_form(1, [([1], ">=", 1), ([1], "<=", 0)])
     cert = solve(p)
     assert cert.status == "infeasible"
     assert [abs(y) for y in cert.farkas] == [1, 1]
@@ -20,7 +19,7 @@ def test_infeasible_pair():
 
 def test_single_equality():
     p = LPProblem(1)
-    p.add([1], "==", 1)
+    p.add([1], 1)
     cert = solve(p)
     assert cert.status == "feasible" and cert.x == [1]
 
@@ -32,68 +31,37 @@ def test_parity2_dual_feasibility():
     pts = [(0, 0), (0, 1), (1, 0), (1, 1)]
     sign = [1, -1, -1, 1]
     p = LPProblem(4)
-    p.add([F(s) for s in sign], "==", 0)
-    p.add([F(s * x[0]) for s, x in zip(sign, pts)], "==", 0)
-    p.add([F(s * x[1]) for s, x in zip(sign, pts)], "==", 0)
-    p.add([F(1)] * 4, "==", 1)
+    p.add([F(s) for s in sign], 0)
+    p.add([F(s * x[0]) for s, x in zip(sign, pts)], 0)
+    p.add([F(s * x[1]) for s, x in zip(sign, pts)], 0)
+    p.add([F(1)] * 4, 1)
     cert = solve(p)
     assert cert.status == "feasible"
 
 
 def test_optimization_and_duals():
     # min -x - y st x + 2y <= 4, x <= 2, x,y >= 0 -> x=2, y=1
-    p = LPProblem(2)
-    p.add([1, 2], "<=", 4)
-    p.add([1, 0], "<=", 2)
-    p.objective = [F(-1), F(-1)]
+    p = standard_form(2, [([1, 2], "<=", 4), ([1, 0], "<=", 2)], objective=[F(-1), F(-1)])
     cert = solve(p)
     assert cert.status == "optimal"
-    assert cert.x == [2, 1]
+    assert cert.x == [2, 1, 0, 0]
     assert cert.objective_value == -3
     assert cert.duals is not None
 
 
 def test_unbounded():
-    p = LPProblem(1)
-    p.add([1], ">=", 0)
-    p.objective = [F(-1)]
-    cert = solve(p)
-    assert cert.status == "unbounded"
-    assert cert.x == [0]
-    assert cert.ray == [1]
-
-
-def test_unbounded_ray_through_slack_column():
-    # min -x + y/2 over x, y >= 0, st x - y <= 1 and y >= 2: the objective
-    # falls along x = y, parallel to the first row, so the ray moves the
-    # slack of y >= 2 and leaves the first row tight
-    p = LPProblem(2)
-    p.add([1, -1], "<=", 1)
-    p.add([0, 1], ">=", 2)
-    p.objective = [F(-1), F(1, 2)]
-    cert = solve(p)
-    assert cert.status == "unbounded"
-    assert cert.x == [3, 2]
-    assert cert.ray == [1, 1]
-
-
-def test_verify_rejects_bogus_unbounded():
-    p = LPProblem(1)
-    p.add([1], "<=", 3)
-    p.objective = [F(-1)]
-    with pytest.raises(VerificationError):
-        verify_certificate(p, LPCertificate(status="unbounded"))
-    with pytest.raises(VerificationError):
-        # feasible point, but the ray leaves the feasible set
-        verify_certificate(p, LPCertificate(status="unbounded", x=[F(0)], ray=[F(1)]))
-    with pytest.raises(VerificationError):
-        # a feasible direction that does not lower the objective
-        verify_certificate(p, LPCertificate(status="unbounded", x=[F(0)], ray=[F(0)]))
+    # min -x over x >= 0; and min -x + y/2 st x - y <= 1, y >= 2, which
+    # falls along x = y, parallel to the first row
+    for p in (standard_form(1, [([1], ">=", 0)], objective=[F(-1)]),
+              standard_form(2, [([1, -1], "<=", 1), ([0, 1], ">=", 2)],
+                            objective=[F(-1), F(1, 2)])):
+        with pytest.raises(PreconditionError, match="unbounded"):
+            solve(p)
 
 
 def test_verify_rejects_unknown_status():
     p = LPProblem(1)
-    p.add([1], ">=", 1)
+    p.add([1], 1)
     with pytest.raises(VerificationError):
         verify_certificate(p, LPCertificate(status="solved", x=[F(1)]))
 
@@ -101,20 +69,20 @@ def test_verify_rejects_unknown_status():
 def test_float_entry_rejected():
     p = LPProblem(1)
     with pytest.raises(PreconditionError):
-        p.add([0.1], ">=", F(3, 10))
+        p.add([0.1], F(3, 10))
     with pytest.raises(PreconditionError):
-        p.add([1], ">=", 0.3)
+        p.add([1], 0.3)
     assert p.rows == []
 
 
 def test_rows_only_through_add():
     with pytest.raises(TypeError):
-        LPProblem(1, rows=[([F(1)], ">=", F(1))])
+        LPProblem(1, rows=[([1], 1, 1)])
 
 
 def test_short_objective_rejected():
     p = LPProblem(2)
-    p.add([1, 0], ">=", 0)
+    p.add([1, 0], 0)
     p.objective = [F(-1)]
     with pytest.raises(PreconditionError):
         solve(p)
@@ -122,7 +90,7 @@ def test_short_objective_rejected():
 
 def test_long_objective_rejected():
     p = LPProblem(1)
-    p.add([1], ">=", 0)
+    p.add([1], 0)
     p.objective = [F(1), F(1)]
     with pytest.raises(PreconditionError):
         solve(p)
@@ -130,7 +98,7 @@ def test_long_objective_rejected():
 
 def test_verify_rejects_bad_point():
     p = LPProblem(1)
-    p.add([1], ">=", 1)
+    p.add([1], 1)
     with pytest.raises(VerificationError):
         verify_certificate(p, solve_cert_with_bad_point())
 
@@ -143,13 +111,13 @@ def solve_cert_with_bad_point():
 def random_lp(draw):
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 5))
-    p = LPProblem(n)
+    rows = []
     for _ in range(m):
         coeffs = [F(draw(st.integers(-3, 3))) for _ in range(n)]
         rel = draw(st.sampled_from(["<=", ">=", "=="]))
         rhs = F(draw(st.integers(-4, 4)))
-        p.add(coeffs, rel, rhs)
-    return p
+        rows.append((coeffs, rel, rhs))
+    return standard_form(n, rows)
 
 
 @given(random_lp())

@@ -1,26 +1,34 @@
-"""The integer-row simplex in ptfwitness.lp against the Fraction tableau it
-replaced, and its integer certificate check against the Fraction check.
+"""The standard-form integer-row simplex in ptfwitness.lp against the
+relational Fraction tableau it replaced, and its integer certificate check
+against the Fraction check.
 
 The reference below is the earlier dense Fraction implementation of
-_pivot, _bland_iterate and _solve_raw, kept verbatim.  Both tableaux run
-Bland's rule on the same rational values, so they take the same pivots and
-must return the same status, point, Farkas multipliers, duals and objective
-value on every input.  The reference returns no point for an unbounded
-problem, so there only the status is compared (solve() checks the new
-point and ray).
+_pivot, _bland_iterate and _solve_raw, kept verbatim.  It takes rows with
+the relations "<=", ">=" and "==" and places one slack column per
+inequality row, after the variables and in row order.  lp takes every row
+as an equality, so it is fed the standard form of the same program
+(lp_forms.standard_form), whose slack variables sit in exactly those
+columns.  Both tableaux then hold the same rational values and run Bland's
+rule on them, so they take the same pivots and must return the same status,
+Farkas multipliers, duals, objective value and point on the original
+variables, on every input.  Where the reference reports an unbounded
+objective, lp raises PreconditionError.
 
 The earlier Fraction verify_certificate, _check_point and _dot are kept
-verbatim too: the integer verify_certificate must accept a certificate,
-intact or mutated, exactly when they do.  Both references read the
-(coeffs, rel, rhs) Fraction triples of fraction_view, which also gives
-them the all-True sign mask of an LP whose variables are all nonnegative.
+verbatim too: on the standard-form rows, all "==", the integer
+verify_certificate must accept a certificate, intact or mutated, exactly
+when they do.  Both references read (coeffs, rel, rhs) Fraction triples
+with the all-True sign mask of an LP whose variables are all nonnegative:
+relational() for a drawn program, fraction_view() for an lp program.
 """
 
 from fractions import Fraction
 from types import SimpleNamespace
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from lp_forms import standard_form
 from ptfwitness import lp, oracles
 from ptfwitness.circuits import mp_table
 from ptfwitness.errors import ArtifactError, PreconditionError, VerificationError
@@ -29,10 +37,13 @@ from ptfwitness.lp import LPCertificate, LPProblem
 F = Fraction
 
 
+def relational(n: int, rows, objective=None) -> SimpleNamespace:
+    return SimpleNamespace(n_vars=n, objective=objective, nonneg=[True] * n, rows=rows)
+
+
 def fraction_view(p: LPProblem) -> SimpleNamespace:
-    return SimpleNamespace(
-        n_vars=p.n_vars, objective=p.objective, nonneg=[True] * p.n_vars,
-        rows=[([F(c, d) for c in a], rel, F(b, d)) for a, rel, b, d in p.rows])
+    return relational(p.n_vars, [([F(c, d) for c in a], "==", F(b, d)) for a, b, d in p.rows],
+                      p.objective)
 
 
 # ------------------------------------------------------------ reference
@@ -283,51 +294,57 @@ def verify_certificate(problem: LPProblem, cert: LPCertificate) -> None:
 
 # ------------------------------------------------------------ comparison
 
-def assert_same_answer(p: LPProblem) -> LPCertificate:
-    ref = _solve_raw(fraction_view(p))
+def assert_same_answer(ref_problem: SimpleNamespace, p: LPProblem) -> str:
+    """The reference on the relational program against lp on its standard
+    form p; returns the status."""
+    ref = _solve_raw(ref_problem)
+    if ref.status == "unbounded":
+        with pytest.raises(PreconditionError, match="unbounded"):
+            lp._solve_raw(p)
+        return ref.status
     new = lp._solve_raw(p)
     lp.verify_certificate(p, new)
     assert new.status == ref.status
-    fields = ("farkas", "duals", "objective_value")
-    if new.status != "unbounded":
-        fields += ("x",)
-    for name in fields:
+    if new.x is not None:
+        new.x = new.x[:ref_problem.n_vars]
+    for name in ("farkas", "duals", "objective_value", "x"):
         want, got = getattr(ref, name), getattr(new, name)
         assert got == want, name
         values = got if isinstance(got, list) else [] if got is None else [got]
         assert all(type(v) is Fraction for v in values), name
-    return new
+    return new.status
 
 
 rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 6))
 
 
 @st.composite
-def rational_lp(draw):
+def rational_lp(draw) -> tuple[SimpleNamespace, LPProblem]:
+    """A drawn relational program and its standard form."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 5))
-    p = LPProblem(n)
+    rows = []
     for _ in range(m):
         coeffs = [draw(rationals) for _ in range(n)]
         rel = draw(st.sampled_from(["<=", ">=", "=="]))
         rhs = F(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
-        p.add(coeffs, rel, rhs)
-    p.objective = draw(st.none() | st.lists(rationals, min_size=n, max_size=n))
-    return p
+        rows.append((coeffs, rel, rhs))
+    objective = draw(st.none() | st.lists(rationals, min_size=n, max_size=n))
+    return relational(n, rows, objective), standard_form(n, rows, objective=objective)
 
 
 @given(rational_lp())
 @settings(max_examples=300, deadline=None)
-def test_same_answer_as_fraction_tableau(p):
-    assert_same_answer(p)
+def test_same_answer_as_fraction_tableau(case):
+    assert_same_answer(*case)
 
 
 def test_unbounded_status_matches_reference():
-    p = LPProblem(2)
-    p.add([F(1, 2), F(-1, 3)], ">=", F(1, 4))
-    p.objective = [F(-1, 5), F(0)]
-    cert = assert_same_answer(p)
-    assert cert.status == "unbounded"
+    rows = [([F(1, 2), F(-1, 3)], ">=", F(1, 4))]
+    objective = [F(-1, 5), F(0)]
+    status = assert_same_answer(relational(2, rows, objective),
+                                standard_form(2, rows, objective=objective))
+    assert status == "unbounded"
 
 
 def _recorded_problems(monkeypatch, run) -> list[LPProblem]:
@@ -345,7 +362,7 @@ def _recorded_problems(monkeypatch, run) -> list[LPProblem]:
 def test_same_answer_on_threshold_degree_ladder(monkeypatch):
     problems = _recorded_problems(monkeypatch, lambda: oracles.threshold_degree(mp_table(2, 3)))
     assert len(problems) >= 2
-    statuses = {assert_same_answer(p).status for p in problems}
+    statuses = {assert_same_answer(fraction_view(p), p) for p in problems}
     assert statuses == {"feasible", "infeasible"}
 
 
@@ -356,7 +373,7 @@ def test_same_answer_on_smooth_ladder(monkeypatch):
         monkeypatch, lambda: oracles.smooth_threshold_degree(mp_table(2, 3), F(1, 1728)))
     assert any(rhs.denominator > 1 for p in problems for _, _, rhs in fraction_view(p).rows)
     for p in problems:
-        assert_same_answer(p)
+        assert_same_answer(fraction_view(p), p)
 
 
 def reference_accepts(p: LPProblem, cert: LPCertificate) -> bool:
@@ -377,9 +394,12 @@ def integer_accepts(p: LPProblem, cert: LPCertificate) -> bool:
 
 @st.composite
 def certificate_and_mutation(draw):
-    p = draw(rational_lp())
-    cert = lp._solve_raw(p)
-    fields = [name for name in ("x", "farkas", "ray") if getattr(cert, name)]
+    _, p = draw(rational_lp())
+    try:
+        cert = lp._solve_raw(p)
+    except PreconditionError:
+        assume(False)  # unbounded: no certificate
+    fields = [name for name in ("x", "farkas") if getattr(cert, name)]
     name = draw(st.sampled_from(fields))
     values = list(getattr(cert, name))
     k = draw(st.integers(0, len(values) - 1))

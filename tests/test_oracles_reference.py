@@ -4,7 +4,8 @@ Three references are kept verbatim, each with an `old_` prefix:
 
 - The point-by-point ladder, `old_ladder` and `old_weigh` (the library's
   `_ladder` and `_weigh` before the orbit reduction, with the LP names
-  qualified as `lp.LPProblem` and `lp.solve`).  It solves every point of the
+  qualified as `lp.LPProblem` and `lp.solve`, and its equality rows posed
+  without a relation).  It solves every point of the
   cube.  The library now solves one column per orbit of the twin classes
   and lifts both answers back to the cube.  Values must be equal, the
   lifted primal and dual must pass test-side checks on every point, and a
@@ -14,11 +15,12 @@ Three references are kept verbatim, each with an `old_` prefix:
 - The coefficient LP of threshold_density, one row pattern . c >= 1 per
   sign pattern.
 
-The last two posed free variables.  The LP layer now takes nonnegative
-variables only, so they run on the test-side LPProblem and solve below,
-which split each free x_j into x+_j - x-_j in adjacent columns, the column
-layout of the earlier LP layer.  Values, and density families, must be
-equal; primal, dual and coefficients may differ, since the library now
+The last two posed free variables and inequalities.  The LP layer now
+takes nonnegative variables and equality rows only, so they run on the
+test-side LPProblem and solve below, which split each free x_j into
+x+_j - x-_j in adjacent columns and add one slack column per inequality row
+after them (lp_forms.standard_form), the column layout of the earlier LP
+layer.  Values, and density families, must be equal; primal, dual and coefficients may differ, since the library now
 reads them from the point-weight program of oracles._weigh.
 """
 
@@ -28,6 +30,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lp_forms import standard_form
 from ptfwitness import lp, oracles
 from ptfwitness.circuits import mp_table
 from ptfwitness.core import Domain, FnTable, chi, hypercube, monomial_table, weight_slice
@@ -67,13 +70,15 @@ class LPProblem:
 
 
 def solve(problem: LPProblem) -> LPCertificate:
-    """Solve with x_j = x+_j - x-_j, the two columns adjacent."""
-    split = lp.LPProblem(2 * problem.n_vars)
-    for coeffs, rel, rhs in problem.rows:
-        split.add([v for c in coeffs for v in (c, -c)], rel, rhs)
+    """Solve with x_j = x+_j - x-_j, the two columns adjacent, and the slack
+    columns after them."""
+    n = 2 * problem.n_vars
+    split = standard_form(n, [([v for c in coeffs for v in (c, -c)], rel, rhs)
+                              for coeffs, rel, rhs in problem.rows])
     cert = lp.solve(split)
     if cert.x is not None:
-        cert.x = [a - b for a, b in zip(cert.x[::2], cert.x[1::2])]
+        x = cert.x[:n]
+        cert.x = [a - b for a, b in zip(x[::2], x[1::2])]
     return cert
 
 
@@ -87,14 +92,14 @@ def old_weigh(rows: list[list[int]], ends: list[Fraction], gamma: Fraction
     floor = F(gamma, len(ends) or 1)
     prob = lp.LPProblem(len(ends))
     for row in rows:
-        prob.add(row, "==", -floor * sum(row))
-    prob.add(ends, "==", 1 - gamma)
+        prob.add(row, -floor * sum(row))
+    prob.add(ends, 1 - gamma)
     cert = lp.solve(prob)
     if cert.status != "infeasible":
         return cert.x, None
     # y = (z, w): sigma_v z(p_v) + e_v w <= 0 and r = sum_i y_i b_i, so q = -z/r
     # has sigma_v q(p_v) >= e_v w/r and (gamma/N) sum_v sigma_v q(p_v) = 1 - (1 - gamma) w/r
-    r = sum((y * F(b, d) for y, (_, _, b, d) in zip(cert.farkas, prob.rows) if y), F(0))
+    r = sum((y * F(b, d) for y, (_, b, d) in zip(cert.farkas, prob.rows) if y), F(0))
     q = [-z / r for z in cert.farkas[:-1]]
     _check_primal(q, rows, ends, gamma)
     return None, q
