@@ -33,7 +33,7 @@ from .core import (
     uniform,
 )
 from .corrector import build_zeta_cube
-from .dual_mp import build_mp_witness, build_rs_smooth, mp_cube_sign
+from .dual_mp import build_mp_witness, build_rs_smooth
 from .dual_or import build_psi
 from .matrix_bounds import (
     forster_bound,
@@ -142,7 +142,7 @@ def criterion_6_rs_smooth():
     floor = F(1, 4) * F(1, 12 * 2 ** 4) ** 2
     floor_ok = all(lam(p) >= floor for p in hypercube(8).points())
     bound = min(cert.d_psi, 2)
-    twisted = lam.hadamard(mp_cube_sign(2, 4))
+    twisted = lam.hadamard(sign_table(mp_table(2, 4)))
     orth_ok = orth(twisted, cap=bound - 1) is None
     lp = smooth_threshold_degree(mp_table(2, 4), F(1, 12 ** 3))
     ok = (cert.is_distribution and floor_ok and orth_ok and lp.value >= bound)

@@ -10,9 +10,15 @@ compose_table         truth tables of f composed blockwise with the
                       symmetric Minsky-Papert function on {0..R}^m,
                       optionally weight-capped
 min_smooth_amplify    the four-stage pipeline that turns a min-smooth dual
-                      witness for f into one for the composition
+                      witness for f into one for the composition, signed
+                      by compose_table's table
 amplify_circuit_once  the explicit AND-OR-AND circuit realization of one
                       amplification step
+build_fkn             the recursive monotone circuit family
+
+Every step reads a point's blocks through `circuits.mp_star_blocks`, and
+the witnesses indexed by z are the products `_z_product` builds: the
+second component on the blocks with z_i = 1, the first on the others.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ from .brackets import (
     one_plus_ln_brackets,
     sqrt_brackets,
 )
-from .circuits import CircuitDesc, Gate, mp_star_table
+from .circuits import CircuitDesc, literal, mp, mp_star_blocks
 from .core import (
     Domain,
     FnTable,
+    as_rat,
     box,
     hypercube,
     least_poly_degree,
@@ -197,6 +204,15 @@ def build_G(n: int, theta: int) -> tuple[CompressionMap, CompressionCertificate]
 # -------------------------------------------------------------- booleanize
 
 
+def _z_product(z: Point, mix0: ProductMixture, mix1: ProductMixture) -> ProductMixture:
+    """The product over the blocks of z: mix1 where z_i = 1, mix0 where z_i = 0."""
+    mix = None
+    for zi in z:
+        part = mix1 if zi else mix0
+        mix = part if mix is None else mix.tensor_with(part)
+    return mix
+
+
 @dataclass
 class BooleanizeCertificate:
     z: Point
@@ -247,24 +263,14 @@ def booleanize(z: Point, m: int, r: int, d: int, theta: int,
     pre_ok = booleanize_preconditions(n, m, r, d, theta, gadget.c1, gadget.c2)
     if enforce_preconditions and not pre_ok:
         raise PreconditionError("booleanize thresholds not met at these parameters")
-    mix = None
-    for zi in z:
-        part = mix1 if zi else mix0
-        mix = part if mix is None else mix.tensor_with(part)
+    mix = _z_product(z, mix0, mix1)
     inv_lo, _ = inv_sqrt_brackets(r)
     family = FamilySpec(kind="bounded", r=r, c=gadget.c1,
                         alpha=gadget.c2 * inv_lo, delta=1)
     reduced, red_cert = weight_reduce_convex(mix, d, theta, family=family,
                                              enforce_preconditions=False)
-    mp_star = mp_star_table(m, r)
-    support_ok = True
-    for p in reduced.entries:
-        if sum(p) >= 2 * theta + n * m:
-            support_ok = False
-        blocks = [p[i * m:(i + 1) * m] for i in range(n)]
-        for zi, blk in zip(z, blocks):
-            if mp_star(blk) != zi:
-                support_ok = False
+    support_ok = all(sum(p) < 2 * theta + n * m and mp_star_blocks(p, m) == tuple(z)
+                     for p in reduced.entries)
     divisor = wit_cert.orth_claimed
     cert = BooleanizeCertificate(z=tuple(z), m=m, r=r, d=d, theta=theta,
                                  preconditions_ok=pre_ok, support_ok=support_ok,
@@ -306,12 +312,7 @@ def compose_table(f: FnTable, m: int, R: int, theta: int | None = None) -> FnTab
     n = f.domain.n
     base = box([R] * (n * m))
     dom = base if theta is None else weight_slice(base, 0, theta)
-    ones = []
-    for p in dom.points():
-        zvec = tuple(int(all(v >= 1 for v in p[i * m:(i + 1) * m])) for i in range(n))
-        if f(zvec) == 1:
-            ones.append(p)
-    return bool_table(dom, ones)
+    return bool_table(dom, (p for p in dom.points() if f(mp_star_blocks(p, m)) == 1))
 
 
 # ------------------------------------------------- min-smooth amplification
@@ -346,7 +347,7 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
     witness.  Every stage aborts with its name if a precondition
     or an exact check fails.
     """
-    gamma = F(gamma)
+    gamma = as_rat(gamma)
     if not f.domain.is_hypercube:
         raise PreconditionError("stage mu-check: outer function must be Boolean on a hypercube")
     n = f.domain.n
@@ -373,22 +374,15 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
         raise PreconditionError("stage witness: requested d above the certified level")
 
     # stage tails: restrict each z-indexed product witness to the weight cap
-    lam_z_mix: dict[Point, ProductMixture] = {}
-    lam_z_dense: dict[Point, FnTable] = {}
     tilde: dict[Point, FnTable] = {}
     for z in hypercube(n).points():
-        mix = None
-        for zi in z:
-            part = lam_1 if zi else lam_0
-            mix = part if mix is None else mix.tensor_with(part)
-        lam_z_mix[z] = mix
-        lam_z_dense[z] = rehome(mix.densify(), big)
-        heavy_mass = lam_z_dense[z].mass(lo=theta + 1)
-        if heavy_mass == 0:
-            tilde[z] = lam_z_dense[z]
+        mix = _z_product(z, lam_0, lam_1)
+        dense = rehome(mix.densify(), big)
+        if dense.mass(lo=theta + 1) == 0:
+            tilde[z] = dense
             continue
         try:
-            reduced, zc = zero_out_heavy_convex(mix, d, theta)
+            reduced, _ = zero_out_heavy_convex(mix, d, theta)
         except (PreconditionError, ConstructionError) as exc:
             raise type(exc)(f"stage tails: {exc}") from exc
         if not reduced.is_distribution():
@@ -399,10 +393,8 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
         for p in table.entries:
             if sum(p) > theta:
                 raise ConstructionError("stage tails: support escaped the cap")
-            blocks = [p[i * m:(i + 1) * m] for i in range(n)]
-            for zi, blk in zip(z, blocks):
-                if (0 not in blk) != bool(zi):
-                    raise ConstructionError("stage tails: support escaped its preimage")
+            if mp_star_blocks(p, m) != z:
+                raise ConstructionError("stage tails: support escaped its preimage")
 
     # stage phi: the signed average must be nonzero on the whole cap region
     phi: FnTable | None = None
@@ -431,12 +423,8 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
         signed = table.scale(mu(z) * F((-1) ** f(z)))
         final = signed if final is None else final + signed
     final = final + phi.scale(-gamma) + phi_star.scale(gamma)
-    comp_sign = {}
-    for p in region:
-        blocks = [p[i * m:(i + 1) * m] for i in range(n)]
-        zvec = tuple(int(all(v >= 1 for v in blk)) for blk in blocks)
-        comp_sign[p] = F((-1) ** f(zvec))
-    twisted_final = FnTable(big, {p: comp_sign[p] * final(p) for p in region
+    comp_sign = sign_table(compose_table(f, m, R, theta))
+    twisted_final = FnTable(big, {p: comp_sign(p) * final(p) for p in region
                                   if final(p)}, _trusted=True)
     if not twisted_final.is_nonnegative():
         raise ConstructionError("stage final: sign agreement failed")
@@ -488,9 +476,7 @@ class AmplifyCircuitInfo:
         """Mathematical evaluation path: sum the labels blockwise, then the
         symmetric Minsky-Papert function per output block."""
         G = CompressionMap(g=self.gmap, theta=self.theta, n=self.n * self.m)
-        v = G.evaluate(x)
-        return tuple(int(all(c >= 1 for c in v[i * self.m:(i + 1) * self.m]))
-                     for i in range(self.n))
+        return mp_star_blocks(G.evaluate(x), self.m)
 
 
 def _coset_terms(g: GMap, syndrome: tuple[int, ...], block_offset: int):
@@ -543,15 +529,7 @@ def amplify_circuit_once(f_circuit: CircuitDesc, m: int, theta: int
         h_gates.append(out.add_gate("and", kids))
         not_h_gates.append(out.add_gate("or", [not_dnf_refs[i * m + j] for j in range(m)]))
 
-    def remap(ref):
-        if ref[0] == "lit":
-            return not_h_gates[ref[1]] if ref[2] else h_gates[ref[1]]
-        return ("gate", ref[1] + offset)
-
-    offset = len(out.gates)
-    for gate in f_circuit.gates:
-        out.gates.append(Gate(gate.op, tuple(remap(rf) for rf in gate.children)))
-    out.output = remap(f_circuit.output)
+    out.output = out.substitute(f_circuit, h_gates, not_h_gates)
     out.validate()
     merged = out.merge_like_gates()
     info = AmplifyCircuitInfo(n=n, m=m, theta=theta, width=width, gmap=g,
@@ -559,3 +537,27 @@ def amplify_circuit_once(f_circuit: CircuitDesc, m: int, theta: int
                               depth=merged.depth(),
                               bottom_fanin=merged.bottom_fanin())
     return merged, info
+
+
+def build_fkn(k: int, n: int) -> CircuitDesc:
+    """The recursive monotone family: a single literal at depth one, the
+    Minsky-Papert circuit at depth two, and one amplification step on top
+    of the k-2 member after that.  Toy-scale parameters."""
+    if k < 1:
+        raise PreconditionError("need k >= 1")
+    if k == 1:
+        return literal(max(n, 1))
+    if k == 2:
+        s = round(n ** (1 / 3))
+        while s ** 3 > n:
+            s -= 1
+        if s < 1:
+            raise PreconditionError(f"degenerate parameters: n={n} too small for depth 2")
+        return mp(s, s * s)
+    if k == 3:
+        inner = literal(1)
+        m = max(1, round(n ** (1 / 2)))
+        theta = max(2, n // max(1, m))
+        circ, _ = amplify_circuit_once(inner, m, theta)
+        return circ if circ.is_monotone() else circ.monotonized()
+    raise PreconditionError("toy recursion implemented for k <= 3")

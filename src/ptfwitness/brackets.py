@@ -15,18 +15,10 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt
 
+from .core import as_rat
 from .errors import PreconditionError
 
 Bracket = tuple[Fraction, Fraction]
-
-
-def _exact(x) -> Fraction:
-    """x as a Fraction; only ints and Fractions are exact inputs."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise PreconditionError(f"not an exact rational: {x!r}")
 
 
 def _check_bits(bits: int) -> None:
@@ -37,7 +29,7 @@ def _check_bits(bits: int) -> None:
 def sqrt_lower(x: Fraction, bits: int = 32) -> Fraction:
     """Largest dyadic k/2^bits with (k/2^bits)^2 <= x."""
     _check_bits(bits)
-    x = _exact(x)
+    x = as_rat(x)
     if x < 0:
         raise PreconditionError("sqrt of a negative number")
     k = isqrt(x.numerator * (1 << (2 * bits)) // x.denominator)
@@ -47,7 +39,7 @@ def sqrt_lower(x: Fraction, bits: int = 32) -> Fraction:
 def sqrt_upper(x: Fraction, bits: int = 32) -> Fraction:
     """Smallest dyadic k/2^bits with (k/2^bits)^2 >= x."""
     _check_bits(bits)
-    x = _exact(x)
+    x = as_rat(x)
     if x < 0:
         raise PreconditionError("sqrt of a negative number")
     t = -((-x.numerator * (1 << (2 * bits))) // x.denominator)
@@ -96,7 +88,7 @@ def _ln2(terms: int) -> Bracket:
 
 def ln_brackets_rational(x: Fraction, terms: int = 24) -> Bracket:
     """Enclose ln(x) for a positive rational x by power-of-two reduction."""
-    x = _exact(x)
+    x = as_rat(x)
     if x <= 0:
         raise PreconditionError("ln of a nonpositive number")
     if x < 1:
@@ -171,7 +163,7 @@ def pow2_brackets(exponent, bits: int = 24) -> Bracket:
     arbitrary exponent denominators stay cheap.
     """
     _check_bits(bits)
-    e = _exact(exponent)
+    e = as_rat(exponent)
     if e < 0:
         lo, hi = pow2_brackets(-e, bits)
         return 1 / hi, 1 / lo
@@ -201,8 +193,8 @@ def pow2_brackets(exponent, bits: int = 24) -> Bracket:
 def pow_brackets(base, exponent, bits: int = 24) -> Bracket:
     """Enclose base**exponent for positive rational base and exponent."""
     _check_bits(bits)
-    b = _exact(base)
-    e = _exact(exponent)
+    b = as_rat(base)
+    e = as_rat(exponent)
     if b <= 0:
         raise PreconditionError("pow of a nonpositive base")
     if e == 0 or b == 1:

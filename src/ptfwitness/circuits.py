@@ -1,7 +1,7 @@
 """Explicit AND/OR circuits over literals, truth-table evaluation, and the
 named function families used throughout: the Minsky-Papert function and its
-symmetric form, surjectivity, the selector lift that converts threshold
-degree into threshold density, and the recursive hard-circuit family.
+symmetric form with its blockwise map, surjectivity, and the selector lift
+that converts threshold degree into threshold density.
 """
 
 from __future__ import annotations
@@ -68,6 +68,20 @@ class CircuitDesc:
             self._check_ref(ref, len(self.gates))
         self.gates.append(g)
         return ("gate", len(self.gates) - 1)
+
+    def substitute(self, f: "CircuitDesc", pos: Sequence[Ref], neg: Sequence[Ref]) -> Ref:
+        """Append f's gates, reading f's input i as pos[i] and its negation
+        as neg[i]; returns the reference that stands for f's output."""
+        offset = len(self.gates)
+
+        def remap(ref: Ref) -> Ref:
+            if ref[0] == "lit":
+                return neg[ref[1]] if ref[2] else pos[ref[1]]
+            return ("gate", ref[1] + offset)
+
+        for g in f.gates:
+            self.gates.append(Gate(g.op, tuple(map(remap, g.children))))
+        return remap(f.output)
 
     # ---------------------------------------------------------- statistics
 
@@ -247,6 +261,12 @@ def mp_star_table(m: int, r: int) -> FnTable:
     return bool_table(dom, (p for p in dom.points() if all(v >= 1 for v in p)))
 
 
+def mp_star_blocks(p: Sequence[int], m: int) -> tuple[int, ...]:
+    """The symmetric Minsky-Papert value of each block of m consecutive
+    coordinates of p: 1 if every coordinate of the block is at least 1."""
+    return tuple(int(all(v >= 1 for v in p[i:i + m])) for i in range(0, len(p), m))
+
+
 def mp_table(m: int, r: int) -> FnTable:
     return mp(m, r).truth_table()
 
@@ -278,17 +298,7 @@ def krause_pudlak(f_circuit: CircuitDesc) -> CircuitDesc:
         na = out.add_gate("or", [("lit", 2 * n + i, False), ("lit", i, True)])
         nb = out.add_gate("or", [("lit", 2 * n + i, True), ("lit", n + i, True)])
         neg_selectors.append(out.add_gate("and", [na, nb]))
-
-    offset = len(out.gates)
-
-    def remap(ref: Ref) -> Ref:
-        if ref[0] == "lit":
-            return neg_selectors[ref[1]] if ref[2] else selectors[ref[1]]
-        return ("gate", ref[1] + offset)
-
-    for g in f_circuit.gates:
-        out.gates.append(Gate(g.op, tuple(remap(r) for r in g.children)))
-    out.output = remap(f_circuit.output)
+    out.output = out.substitute(f_circuit, selectors, neg_selectors)
     out.validate()
     return out.pruned()
 
@@ -299,29 +309,3 @@ def parity2_circuit() -> CircuitDesc:
     b = c.add_gate("and", [("lit", 0, True), ("lit", 1, False)])
     c.output = c.add_gate("or", [a, b])
     return c
-
-
-def build_fkn(k: int, n: int) -> CircuitDesc:
-    """The recursive monotone family: a single literal at depth one, the
-    Minsky-Papert circuit at depth two, and one amplification step on top
-    of the k-2 member after that.  Toy-scale parameters."""
-    if k < 1:
-        raise PreconditionError("need k >= 1")
-    if k == 1:
-        return literal(max(n, 1))
-    if k == 2:
-        s = round(n ** (1 / 3))
-        while s ** 3 > n:
-            s -= 1
-        if s < 1:
-            raise PreconditionError(f"degenerate parameters: n={n} too small for depth 2")
-        return mp(s, s * s)
-    if k == 3:
-        from .amplification import amplify_circuit_once
-
-        inner = literal(1)
-        m = max(1, round(n ** (1 / 2)))
-        theta = max(2, n // max(1, m))
-        circ, _ = amplify_circuit_once(inner, m, theta)
-        return circ if circ.is_monotone() else circ.monotonized()
-    raise PreconditionError("toy recursion implemented for k <= 3")

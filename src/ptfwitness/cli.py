@@ -23,8 +23,8 @@ from pathlib import Path
 
 from . import __version__
 from .acceptance import run_all
-from .amplification import amplify_circuit_once
-from .circuits import build_fkn, krause_pudlak, literal, mp, mp_table, parity2_circuit, surj_table
+from .amplification import amplify_circuit_once, build_fkn
+from .circuits import krause_pudlak, literal, mp, mp_table, parity2_circuit, surj_table
 from .core import FnTable, hypercube
 from .dual_mp import build_mp_smooth_witness, build_mp_witness, build_or_gadget, build_rs_smooth
 from .dual_or import build_psi

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 from typing import Iterable, Iterator, Mapping
 
 from .errors import PreconditionError
@@ -22,14 +22,13 @@ Point = tuple[int, ...]
 
 
 def as_rat(x) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' strings to Fraction; reject floats."""
+    """x as a Fraction; only ints and Fractions are exact inputs, and
+    anything else (a float in particular) raises PreconditionError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    raise PreconditionError(f"not an exact rational: {x!r}")
 
 
 @dataclass(frozen=True)
@@ -364,22 +363,6 @@ def _monomial_rows(bounds: tuple[int, ...], points: list[Point], base: list[int]
             rows[alpha] = row = list(map(mul, parent, cols[j]))
             yield d, alpha, row
         prev = rows
-
-
-def monomial_table(domain: Domain, points: list[Point]
-                   ) -> Iterator[tuple[list[Point], list[list[int]]]]:
-    """For d = 0 .. sum(bounds), the monomials alphas of degree <= d and
-    their values table[k][i] = points[i]^alphas[k]; each yield extends the
-    same two lists.  At the last d they span every function on the domain.
-    Each row is built from its parent's row (see `_monomial_rows`)."""
-    alphas: list[Point] = []
-    table: list[list[int]] = []
-    rows = _monomial_rows(domain.bounds, points, [1] * len(points), sum(domain.bounds))
-    for _, group in itertools.groupby(rows, key=itemgetter(0)):
-        for _, alpha, row in group:
-            alphas.append(alpha)
-            table.append(row)
-        yield alphas, table
 
 
 def orth(f: FnTable, cap: int | None = None) -> int | None:

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brackets import inv_sqrt_brackets
-from .circuits import mp_star_table
+from .circuits import mp_star_table, mp_table
 from .core import (
     Domain,
     FnTable,
-    box,
+    Point,
+    as_rat,
     hypercube,
     lift_symmetric_to_cube,
     orth,
@@ -37,8 +38,20 @@ from .core import (
 from .dual_or import PsiCertificate, build_psi
 from .errors import ConstructionError, PreconditionError
 from .mixtures import DENSIFY_LIMIT, FamilySpec, ProductMixture, expand_power
+from .oracles import sign_table
 
 F = Fraction
+
+
+def _split_dual(psi: FnTable, zero: Point) -> tuple[Fraction, FnTable, FnTable, FnTable]:
+    """Split a unit-l1 dual psi at the point zero: delta = 1 - 2 psi(zero),
+    the point mass at zero, mu1 = -2 times the negative part of psi, and
+    mu2 = (2/delta) times its positive part off zero (empty when delta = 0)."""
+    dom = psi.domain
+    delta = 1 - 2 * psi(zero)
+    mu1 = FnTable(dom, {p: -2 * v for p, v in psi.entries.items() if v < 0})
+    pos = {p: 2 * v / delta for p, v in psi.entries.items() if v > 0 and p != zero} if delta else {}
+    return delta, point_mass(dom, zero), mu1, FnTable(dom, pos)
 
 
 @dataclass
@@ -60,25 +73,16 @@ def build_or_gadget(R: int, r: int, eps) -> tuple[FnTable, FnTable, FnTable, Gad
     distributions: a point mass at zero and two distributions on {1..R}
     whose fixed signed combination reproduces the dual exactly, hence
     inherits its orthogonality."""
-    eps = F(eps)
+    eps = as_rat(eps)
     if not (R >= r >= 1):
         raise PreconditionError("need R >= r >= 1")
     if not (0 < eps < 1):
         raise PreconditionError("eps must lie strictly between 0 and 1")
     psi, psi_cert = build_psi(r, R, eps / 2)
-    dom = box([R])
-    at0 = psi((0,))
-    delta = 1 - 2 * at0
+    delta, lam0, mu1, mu2 = _split_dual(psi, (0,))
     if delta < 0 or delta >= eps / 2:
         raise ConstructionError(
             f"delta = {delta} outside [0, eps/2); psi(0) too small, rebuild with smaller eps")
-    mu1 = FnTable(dom, {p: -2 * v for p, v in psi.entries.items() if v < 0})
-    pos_off0 = {p: v for p, v in psi.entries.items() if v > 0 and p != (0,)}
-    lam0 = point_mass(dom, (0,))
-    if delta > 0:
-        mu2 = FnTable(dom, {p: 2 * v / delta for p, v in pos_off0.items()})
-    else:
-        mu2 = FnTable(dom, {})
     a11 = (1 - eps * delta) / (1 - delta * delta)
     a12 = delta * (eps - delta) / (1 - delta * delta)
     a21 = (eps - delta) / (eps * (1 - delta * delta))
@@ -317,17 +321,6 @@ class RsSmoothCertificate:
     psi_cert: PsiCertificate
 
 
-def mp_cube_sign(m: int, r: int) -> FnTable:
-    """(-1)^MP on ({0,1}^r)^m."""
-    dom = hypercube(m * r)
-    out = {}
-    for p in dom.points():
-        blocks = [p[i * r:(i + 1) * r] for i in range(m)]
-        val = all(any(b) for b in blocks)
-        out[p] = F(-1) if val else F(1)
-    return FnTable(dom, out, _trusted=True)
-
-
 def build_rs_smooth(m: int, r: int) -> tuple[FnTable, RsSmoothCertificate]:
     """A globally min-smooth dual distribution for the Minsky-Papert
     function on the hypercube: a probability distribution with an explicit
@@ -340,19 +333,14 @@ def build_rs_smooth(m: int, r: int) -> tuple[FnTable, RsSmoothCertificate]:
     psi = lift_symmetric_to_cube(psi_uni, (tuple(range(r)),))
     d_psi = psi_cert.orth_value
 
-    dom_r = hypercube(r)
     zero = (0,) * r
-    delta = 1 - 2 * psi((zero))
+    delta, lam0, mu1, mu2 = _split_dual(psi, zero)
     if not (0 <= delta < F(1, 50)):
         raise ConstructionError("mass split outside its range")
-    mu1 = FnTable(dom_r, {p: -2 * v for p, v in psi.entries.items() if v < 0})
-    mu2_raw = {p: v for p, v in psi.entries.items() if v > 0 and p != zero}
-    lam0 = point_mass(dom_r, zero)
-    ups = uniform(dom_r, exclude=[zero])
+    ups = uniform(hypercube(r), exclude=[zero])
     w1 = F(2, 3) / (1 - delta)
     lam1 = mu1.scale(w1) + ups.scale(1 - w1)
     if delta > 0:
-        mu2 = FnTable(dom_r, {p: 2 * v / delta for p, v in mu2_raw.items()})
         w2 = 2 * delta / (1 - delta)
         lam2 = mu2.scale(w2) + ups.scale(1 - w2)
     else:
@@ -380,7 +368,7 @@ def build_rs_smooth(m: int, r: int) -> tuple[FnTable, RsSmoothCertificate]:
     dom = hypercube(m * r)
     floor_ok = all(lam(p) >= floor for p in dom.points())
     is_dist = lam.is_distribution()
-    twisted = lam.hadamard(mp_cube_sign(m, r))
+    twisted = lam.hadamard(sign_table(mp_table(m, r)))
     claimed = min(d_psi, m)
     value = orth(twisted)
     if value is None or value < claimed:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .brackets import inv_sqrt_brackets, pow2_brackets
-from .core import FnTable, box, orth
+from .core import FnTable, as_rat, box, orth
 from .errors import ConstructionError, PreconditionError
 
 F = Fraction
@@ -50,7 +50,7 @@ class OmegaCertificate:
 
 
 def _omega_spec(n: int, eps: Fraction) -> OmegaSpec:
-    eps = F(eps)
+    eps = as_rat(eps)
     if n < 1:
         raise PreconditionError("need n >= 1")
     if not (0 < eps < 1):
@@ -83,7 +83,7 @@ def omega_values(spec: OmegaSpec) -> dict[int, Fraction]:
 
 
 def build_omega(n: int, eps) -> tuple[FnTable, OmegaCertificate]:
-    spec = _omega_spec(n, F(eps))
+    spec = _omega_spec(n, eps)
     vals = omega_values(spec)
     table = FnTable(box([n]), {(t,): v for t, v in vals.items()})
     l1 = table.l1()
@@ -103,7 +103,7 @@ def build_omega(n: int, eps) -> tuple[FnTable, OmegaCertificate]:
 
 def default_delta(eps: Fraction) -> Fraction:
     """A rational stand-in just below 5 eps / (pi^2 (1 - eps))."""
-    eps = F(eps)
+    eps = as_rat(eps)
     return eps / (2 * (1 - eps))
 
 
@@ -155,7 +155,7 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3)) -> tuple[FnTable, PsiCe
     `default_weights(n, N)`; the envelope exponent c'' is 1.  Fails loudly
     when delta is too large to keep the mass at zero above the threshold.
     """
-    eps = F(eps)
+    eps = as_rat(eps)
     if N is None:
         N = n
     if not (N >= n >= 1):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brackets import Bracket, pow2_brackets
-from .core import Domain, FnTable, merge_domains, smoothness_constant
+from .core import Domain, FnTable, as_rat, merge_domains, smoothness_constant
 from .errors import PreconditionError
 
 F = Fraction
@@ -67,7 +67,7 @@ class ProductMixture:
         return Domain(bounds, offset)
 
     def scale(self, a: Fraction) -> "ProductMixture":
-        a = F(a)
+        a = as_rat(a)
         return ProductMixture(self.factors, [(a * c, labs) for c, labs in self.terms])
 
     def combined(self, other: "ProductMixture") -> "ProductMixture":

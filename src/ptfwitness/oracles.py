@@ -53,17 +53,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .core import (
     Domain,
     FnTable,
+    _monomial_rows,
+    as_rat,
     cleared,
     eval_monomial,
     hypercube,
     lift_symmetric_to_cube,
-    monomial_table,
     orbit_sizes,
     orth,
 )
@@ -227,28 +228,6 @@ def _expand(coeffs: dict[Point, Fraction], classes: Blocks, n: int) -> dict[Poin
     return {e: c for e, c in out.items() if c}
 
 
-def _rows(alphas: Iterable[Point], columns: list[Column]) -> list[list[int]]:
-    """rows[k][v] = sigma_v p_v^alphas[k], each row its parent's row (the
-    last nonzero exponent lowered by one) times one coordinate."""
-    cols = list(zip(*[p for p, _, _ in columns]))
-    memo: dict[Point, list[int]] = {}
-
-    def row(alpha: Point) -> list[int]:
-        r = memo.get(alpha)
-        if r is None:
-            j = len(alpha) - 1
-            while j >= 0 and not alpha[j]:
-                j -= 1
-            if j < 0:
-                r = [s for _, s, _ in columns]
-            else:
-                r = list(map(mul, row(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]), cols[j]))
-            memo[alpha] = r
-        return r
-
-    return [row(alpha) for alpha in alphas]
-
-
 def _columns(labels: FnTable, points: Iterable[Point],
              label_columns: Sequence[list[tuple[int, Fraction]]]) -> list[Column]:
     """The columns (p, sign, end) of each point p: those of label_columns[a]
@@ -288,19 +267,26 @@ def _ladder(labels: FnTable, label_columns: Sequence[list[tuple[int, Fraction]]]
     sizes = [size[t] for t, _, _ in columns]
     ends = [e for _, _, e in columns]
     floor = F(gamma, sum(sizes) or 1)
+    alphas: list[Point] = []
     rows: list[list[int]] = []
     rhs: list[Fraction] = []
     x = None
-    for level, (alphas, table) in enumerate(
-            monomial_table(orbits.domain, [t for t, _, _ in columns]), start=1):
-        added = [[s * v for (_, s, _), v in zip(columns, vals)] for vals in table[len(rows):]]
-        rows += added
-        rhs += [-floor * sum(map(mul, sizes, row)) if floor else 0 for row in added]
+    monomial_rows = _monomial_rows(wdom.bounds, [t for t, _, _ in columns],
+                                   [s for _, s, _ in columns], sum(wdom.bounds))
+    for level, (_, group) in enumerate(itertools.groupby(monomial_rows, key=itemgetter(0)),
+                                       start=1):
+        for _, alpha, row in group:
+            alphas.append(alpha)
+            rows.append(row)
+            rhs.append(-floor * sum(map(mul, sizes, row)) if floor else 0)
         weights, q = _weigh(rows, rhs, ends, gamma)
         if q is not None:
             primal = _expand({a: c for a, c in zip(alphas, q) if c}, classes, dom.n)
             cube = _columns(labels, points, label_columns)
-            _check_primal(list(primal.values()), _rows(primal, cube),
+            found = {a: row for _, a, row in _monomial_rows(
+                dom.bounds, [p for p, _, _ in cube], [s for _, s, _ in cube],
+                max(map(sum, primal), default=0)) if a in primal}
+            _check_primal(list(primal.values()), [found[a] for a in primal],
                           [e for _, _, e in cube], gamma)
             dual = None
             if x is not None:
@@ -367,7 +353,7 @@ def smooth_threshold_degree(f: FnTable, gamma: Fraction) -> DegreeAnswer:
     domain, by the ladder of threshold_degree; at gamma = 0 both return the
     same value, primal and dual.  The primal q certifies that no such mu does better.
     """
-    gamma = F(gamma)
+    gamma = as_rat(gamma)
     if gamma < 0 or gamma > 1:
         raise PreconditionError("gamma must lie in [0, 1]")
     value, primal, dual = _ladder(_boolean(f), _SIGN_COLUMNS, gamma)
@@ -393,6 +379,11 @@ class Interval:
     lo_open: bool = False
     hi_open: bool = False
 
+    def __post_init__(self):
+        for end in ("lo", "hi"):
+            if getattr(self, end) is not None:
+                object.__setattr__(self, end, as_rat(getattr(self, end)))
+
     def realized(self, margin: Fraction) -> tuple[Fraction | None, Fraction | None]:
         lo = self.lo + margin if (self.lo is not None and self.lo_open) else self.lo
         hi = self.hi - margin if (self.hi is not None and self.hi_open) else self.hi
@@ -402,15 +393,15 @@ class Interval:
 
     @staticmethod
     def closed(lo, hi) -> "Interval":
-        return Interval(F(lo), F(hi))
+        return Interval(lo, hi)
 
     @staticmethod
     def greater_than(a) -> "Interval":
-        return Interval(F(a), None, lo_open=True)
+        return Interval(a, None, lo_open=True)
 
     @staticmethod
     def less_than(a) -> "Interval":
-        return Interval(None, F(a), hi_open=True)
+        return Interval(None, a, hi_open=True)
 
     @staticmethod
     def everything() -> "Interval":
@@ -421,7 +412,7 @@ THRESHOLD_INTERVALS = (Interval.greater_than(0), Interval.less_than(0), Interval
 
 
 def approx_intervals(eps) -> tuple[Interval, Interval, Interval]:
-    e = F(eps)
+    e = as_rat(eps)
     return (Interval.closed(-e, e), Interval.closed(1 - e, 1 + e), Interval.closed(-e, 1 + e))
 
 
@@ -468,7 +459,7 @@ def iii_approx_degree(f: PartialFn, i0: Interval, i1: Interval, istar: Interval,
     (the last feasible level's weights summed per point) is re-checked
     before being returned.
     """
-    margin = F(margin)
+    margin = as_rat(margin)
     bands = {"0": i0.realized(margin), "1": i1.realized(margin), "*": istar.realized(margin)}
     ends = {p: bands[f.value(p)] for p in _points(f.domain)}
     # label 0, 1, 2 at the 0-, 1- and star-points: a column per finite end

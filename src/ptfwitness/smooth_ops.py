@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 
 from .brackets import e_brackets, one_plus_ln_brackets, pow2_brackets, pow_brackets, sqrt_lower
-from .core import Domain, FnTable, add_scaled, orth, smoothness_constant, tighten_domain
+from .core import Domain, FnTable, add_scaled, as_rat, orth, smoothness_constant, tighten_domain
 from .corrector import build_zeta_u, build_zeta_uv
 from .errors import ConstructionError, PreconditionError
 from .mixtures import FamilySpec, ProductMixture
@@ -54,8 +54,8 @@ def select_heavy_set(v, theta) -> HeavySet:
     area guarantees.  Ties are broken by coordinate index so the output is
     reproducible.
     """
-    v = [F(x) for x in v]
-    theta = F(theta)
+    v = [as_rat(x) for x in v]
+    theta = as_rat(theta)
     n = len(v)
     total = sum(abs(x) for x in v)
     if not (total >= theta > 0):
@@ -116,7 +116,7 @@ def check_concentration(lambdas: list[FnTable], C, alpha, theta) -> Concentratio
     adverse (lower) side when theta is odd, and the precondition involving
     e and ln n is checked against upper brackets.
     """
-    C, alpha, theta = F(C), F(alpha), F(theta)
+    C, alpha, theta = as_rat(C), as_rat(alpha), as_rat(theta)
     if not (0 <= alpha <= 1) or C < 0:
         raise PreconditionError("need 0 <= alpha <= 1 and C >= 0")
     n = len(lambdas)
@@ -194,7 +194,7 @@ def verify_cap_ball(lam: FnTable, theta: int, d: int, K=None) -> CapBallReport:
     k_actual = smoothness_constant(lam, weight_cap=theta)
     if k_actual is None:
         raise PreconditionError("function vanishes inside the region")
-    K = k_actual if K is None else F(K)
+    K = k_actual if K is None else as_rat(K)
     smooth_ok = k_actual <= K
     n = dom.n
     cap_mass = lam.mass(hi=theta)

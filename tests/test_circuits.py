@@ -2,16 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from ptfwitness.amplification import build_fkn
 from ptfwitness.circuits import (
     CircuitDesc,
-    build_fkn,
     krause_pudlak,
     literal,
     mp,
+    mp_star_blocks,
     mp_star_table,
     surj_table,
 )
-from ptfwitness.core import hypercube
+from ptfwitness.core import box, hypercube
 from ptfwitness.errors import PreconditionError
 from ptfwitness.oracles import threshold_degree, threshold_density
 
@@ -33,6 +34,16 @@ def test_mp_structure_and_semantics():
     assert c.evaluate((1, 0, 0, 1)) == 1
     assert c.evaluate((0, 0, 0, 1)) == 0
     assert mp(1, 1).evaluate((1,)) == 1 and mp(1, 1).evaluate((0,)) == 0
+
+
+def test_mp_star_blocks_matches_per_block_lookups():
+    for n in range(1, 4):
+        for m in range(1, 4):
+            for R in range(1, 4):
+                star = mp_star_table(m, R)
+                for p in box([R] * (n * m)).points():
+                    want = tuple(star(p[i * m:(i + 1) * m]) for i in range(n))
+                    assert mp_star_blocks(p, m) == want
 
 
 def test_mp_star_table():

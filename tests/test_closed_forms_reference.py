@@ -15,12 +15,12 @@ from math import comb, prod
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from monomial_tables import monomial_table
 from ptfwitness.core import (
     Domain,
     FnTable,
     eval_monomial,
     least_poly_degree,
-    monomial_table,
     monomials,
 )
 from ptfwitness.corrector import corrector_levels

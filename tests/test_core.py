@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monomial_tables import monomial_table
 from ptfwitness.core import (
     Domain,
     FnTable,
@@ -18,7 +19,6 @@ from ptfwitness.core import (
     inner_product,
     least_poly_degree,
     lift_symmetric_to_cube,
-    monomial_table,
     monomials,
     orth,
     tensor,

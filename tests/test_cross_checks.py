@@ -3,19 +3,33 @@
 import json
 from fractions import Fraction
 
-from ptfwitness.amplification import booleanize
-from ptfwitness.core import FnTable, box, fourier, hypercube, orth
+import pytest
+
+from ptfwitness.amplification import booleanize, min_smooth_amplify
+from ptfwitness.brackets import pow2_brackets
+from ptfwitness.core import FnTable, box, fourier, hypercube, orth, point_mass, uniform
 from ptfwitness.dual_mp import build_mp_smooth_witness, build_or_gadget
+from ptfwitness.dual_or import build_omega, build_psi, default_delta
+from ptfwitness.errors import PreconditionError
 from ptfwitness.lp import LPProblem
 from ptfwitness.mixtures import ProductMixture
 from ptfwitness.oracles import (
+    Interval,
+    approx_intervals,
+    iii_approx_degree,
     parity_table,
     sign_table,
     smooth_threshold_degree,
     threshold_degree,
+    total_fn,
 )
 from ptfwitness.serialize import dumps
-from ptfwitness.smooth_ops import check_concentration, verify_cap_ball, weight_reduce
+from ptfwitness.smooth_ops import (
+    check_concentration,
+    select_heavy_set,
+    verify_cap_ball,
+    weight_reduce,
+)
 
 F = Fraction
 
@@ -117,3 +131,33 @@ def test_lp_problem_serializes():
     text = dumps(p)
     data = json.loads(text)
     assert data["_type"] == "LPProblem" and data["rows"] == [[[2, -2], 1, 2]]
+
+
+FLOAT_INPUTS = {
+    "FnTable": lambda: FnTable(box([1]), {(0,): 0.5}),
+    "smooth_threshold_degree": lambda: smooth_threshold_degree(parity_table(2), 0.5),
+    "approx_intervals": lambda: approx_intervals(0.3),
+    "iii_approx_degree": lambda: iii_approx_degree(
+        total_fn(parity_table(2)), *approx_intervals(F(1, 3)), margin=0.1),
+    "Interval": lambda: Interval(0.5, 1),
+    "Interval.closed": lambda: Interval.closed(0, 0.5),
+    "select_heavy_set": lambda: select_heavy_set([0.5, 0.25], 0.1),
+    "build_psi": lambda: build_psi(8, 8, 0.3),
+    "build_omega": lambda: build_omega(4, 0.3),
+    "default_delta": lambda: default_delta(0.3),
+    "ProductMixture.scale": lambda: ProductMixture(
+        {"l": point_mass(box([1]), (0,))}, [(F(1), ("l",))]).scale(0.1),
+    "check_concentration": lambda: check_concentration(
+        [uniform(box([2]))], C=0.5, alpha=F(1, 2), theta=2),
+    "build_or_gadget": lambda: build_or_gadget(4, 4, 0.5),
+    "min_smooth_amplify": lambda: min_smooth_amplify(
+        parity_table(1), uniform(hypercube(1)), m=1, r=1, R=4, theta=5, gamma=0.5, d=1),
+    "verify_cap_ball": lambda: verify_cap_ball(uniform(box([2])), theta=2, d=1, K=0.5),
+    "pow2_brackets": lambda: pow2_brackets(0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_INPUTS))
+def test_float_input_raises_precondition_error(entry):
+    with pytest.raises(PreconditionError, match="not an exact rational"):
+        FLOAT_INPUTS[entry]()

@@ -2,18 +2,37 @@ from fractions import Fraction
 
 import pytest
 
-from ptfwitness.circuits import mp_star_table
-from ptfwitness.core import FnTable, box, inner_product, orth, smoothness_constant
+from ptfwitness.circuits import mp_star_table, mp_table
+from ptfwitness.core import FnTable, box, hypercube, inner_product, orth, smoothness_constant
 from ptfwitness.dual_mp import (
     build_mp_smooth_witness,
     build_mp_witness,
     build_or_gadget,
     build_rs_smooth,
-    mp_cube_sign,
 )
 from ptfwitness.errors import PreconditionError
+from ptfwitness.oracles import sign_table
 
 F = Fraction
+
+
+def mp_cube_sign(m: int, r: int) -> FnTable:
+    """(-1)^MP on ({0,1}^r)^m."""
+    dom = hypercube(m * r)
+    out = {}
+    for p in dom.points():
+        blocks = [p[i * r:(i + 1) * r] for i in range(m)]
+        val = all(any(b) for b in blocks)
+        out[p] = F(-1) if val else F(1)
+    return FnTable(dom, out, _trusted=True)
+
+
+def test_mp_sign_table_matches_cube_sign_reference():
+    for m in range(1, 13):
+        for r in range(1, 12 // m + 1):
+            got, want = sign_table(mp_table(m, r)), mp_cube_sign(m, r)
+            assert got.domain == want.domain
+            assert list(got.entries.items()) == list(want.entries.items())
 
 
 def test_gadget_supports_and_identity():
@@ -103,7 +122,7 @@ def test_rs_smooth_2_4():
     assert cert.floor == F(1, 4) * F(1, 12 * 16) ** 2
     assert cert.floor_ok
     assert cert.orth_value >= min(cert.d_psi, 2)
-    twisted = lam.hadamard(mp_cube_sign(2, 4))
+    twisted = lam.hadamard(sign_table(mp_table(2, 4)))
     assert orth(twisted, cap=cert.orth_claimed - 1) is None
 
 

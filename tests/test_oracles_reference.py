@@ -31,9 +31,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lp_forms import standard_form
+from monomial_tables import monomial_table
 from ptfwitness import lp, oracles
 from ptfwitness.circuits import mp_table
-from ptfwitness.core import Domain, FnTable, chi, hypercube, monomial_table, weight_slice
+from ptfwitness.core import Domain, FnTable, chi, hypercube, weight_slice
 from ptfwitness.errors import ArtifactError, PreconditionError, VerificationError
 from ptfwitness.lp import LPCertificate
 from ptfwitness.oracles import (
