@@ -31,6 +31,14 @@ def as_rat(x) -> Fraction:
     raise PreconditionError(f"not an exact rational: {x!r}")
 
 
+def as_int(x) -> int:
+    """x itself when it is an int; anything else, a bool or a float
+    included, raises PreconditionError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise PreconditionError(f"not an integer: {x!r}")
+
+
 @dataclass(frozen=True)
 class Domain:
     """A finite set of integer points.

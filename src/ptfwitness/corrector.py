@@ -6,7 +6,10 @@ without any low-degree polynomial noticing.
 The weight-level values are Lagrange weights: with the top level n
 pinned to 1, level k <= d carries -L_k(n) / C(n, k), where L_k is the
 Lagrange basis polynomial of the nodes 0..d, so every polynomial of degree
-<= d sums to zero against the table.  Pushed forward blockwise they give
+<= d sums to zero against the table.  That value is the integer
+(-1)^(d-k+1) C(n-k-1, d-k), so every corrector table is integer-valued:
+the builders multiply integer levels by integer multiplicities and build a
+Fraction only for each returned value.  Pushed forward blockwise they give
 the anchored corrector on the box below a point u; the hypercube corrector
 is the anchored one below the all-ones point (its value depends only on
 the Hamming weight), and reflecting around a second point gives the
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .core import Domain, FnTable, box, orth
+from .core import Domain, FnTable, as_int, box, orth
 from .errors import ConstructionError, PreconditionError
 
 F = Fraction
@@ -46,58 +49,51 @@ def corrector_levels(n: int, d: int) -> tuple[tuple[Fraction, ...], Fraction]:
 
     With w_k = z_k C(n, k) the system reads sum_k w_k p(k) = -p(n) for
     every polynomial p of degree <= d, so w_k = -L_k(n) for the Lagrange
-    basis L_k(t) = prod_{i != k} (t - i) / (k - i) on the nodes 0..d.  The
-    moment matrix [C(n, k) k^j] is the Vandermonde matrix of 0..d, of
-    determinant prod_k k!, times the diagonal of the C(n, k)."""
+    basis L_k(t) = prod_{i != k} (t - i) / (k - i) on the nodes 0..d.
+    Writing the products as factorials, k! C(n, k) L_k(n) =
+    (-1)^(d-k) (n-k-1)! / ((n-d-1)! (d-k)!), so each level is the integer
+    z_k = (-1)^(d-k+1) C(n-k-1, d-k).  The moment matrix [C(n, k) k^j] is
+    the Vandermonde matrix of 0..d, of determinant prod_k k!, times the
+    diagonal of the C(n, k)."""
+    n, d = as_int(n), as_int(d)
     if not (0 <= d < n):
         raise PreconditionError("need 0 <= d < n")
-    levels = []
+    levels = tuple(F((-1) ** (d - k + 1) * comb(n - k - 1, d - k)) for k in range(d + 1))
     det = 1
     for k in range(d + 1):
-        lagrange = F(1)
-        for i in range(d + 1):
-            if i != k:
-                lagrange *= F(n - i, k - i)
-        levels.append(-lagrange / comb(n, k))
         det *= comb(n, k) * factorial(k)
-    return tuple(levels), F(det)
+    return levels, F(det)
 
 
 def build_zeta_cube(n: int, d: int) -> tuple[FnTable, CorrectorCertificate]:
     """Symmetric corrector on {0,1}^n: the anchored corrector below the
     all-ones point, so value 1 there, support otherwise within weight <= d,
     orthogonal beyond degree d, and l1 norm at most 1 + 2^d C(n,d)."""
-    return build_zeta_u((1,) * n, d)
+    return build_zeta_u((1,) * as_int(n), d)
 
 
 def build_zeta_u(u: Point, d: int) -> tuple[FnTable, CorrectorCertificate]:
     """Anchored corrector on the box below u: value 1 at u, support
     otherwise on {v <= u, |v| <= d}.  The value at v is the weight-level
-    value times the number of cube points mapping onto v blockwise."""
-    u = tuple(u)
+    value times the number of cube points mapping onto v blockwise, the
+    product of the C(u_i, v_i), an integer."""
+    u, d = tuple(map(as_int, u)), as_int(d)
     total = sum(u)
     if not (0 <= d < total):
         raise PreconditionError("need d < |u|")
     levels, det = corrector_levels(total, d)
+    lnums = [z.numerator for z in levels]  # integers, see corrector_levels
     dom = box(u)
-    entries: dict[Point, Fraction] = {u: F(1)}
-
-    def rec(i: int, rem: int, prefix: Point):
-        if i == len(u):
-            w = sum(prefix)
-            val = levels[w]
-            if val:
-                mult = 1
-                for ui, vi in zip(u, prefix):
-                    mult *= comb(ui, vi)
-                entries[prefix] = entries.get(prefix, F(0)) + val * mult
-            return
-        for vi in range(0, min(u[i], rem) + 1):
-            rec(i + 1, rem - vi, prefix + (vi,))
-
-    rec(0, d, ())
+    # (v, d - |v|, multiplicity of v), one coordinate at a time
+    layer: list[tuple[Point, int, int]] = [((), d, 1)]
+    for ui in u:
+        layer = [(v + (vi,), rem - vi, mult * comb(ui, vi))
+                 for v, rem, mult in layer for vi in range(min(ui, rem) + 1)]
+    nums = {v: lnums[d - rem] * mult for v, rem, mult in layer}
+    entries = {u: F(1)}
+    entries.update((v, F(num)) for v, num in nums.items())
     table = FnTable(dom, entries)
-    l1 = table.l1()
+    l1 = F(1 + sum(map(abs, nums.values())))
     bound = 1 + F(2 ** d * comb(total, d))
     cert = CorrectorCertificate(n=len(u), d=d, levels=levels, l1=l1,
                                 l1_bound=bound, determinant=det, anchor=u)
@@ -114,7 +110,7 @@ def build_zeta_uv(u: Point, v: Point, d: int) -> tuple[FnTable, CorrectorCertifi
     """Two-point corrector on cube(u, v): value 1 at u, support otherwise
     within distance d of v.  Obtained by reflecting the anchored corrector
     coordinatewise around v."""
-    u, v = tuple(u), tuple(v)
+    u, v = tuple(map(as_int, u)), tuple(map(as_int, v))
     if len(u) != len(v):
         raise PreconditionError("dimension mismatch")
     ustar = tuple(abs(a - b) for a, b in zip(u, v))

@@ -10,6 +10,13 @@ The shift weights and the mixing constant delta are exact positive
 rationals.  Orthogonality, the sign pattern, and the mass at zero hold
 for any such choice; the envelope constants are computed from the result
 rather than assumed.
+
+psi is computed in integers: the shift weights and omega's values are
+each cleared once to numerators over one denominator, every unnormalized
+psi(t) is an integer over their product, and the sign pattern, the l1
+total and the envelope constant c' are read from those integers by exact
+integer comparisons and cross-multiplication.  A Fraction is built only
+for each returned value.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .brackets import inv_sqrt_brackets, pow2_brackets
-from .core import FnTable, as_rat, box, orth
+from .core import FnTable, as_int, as_rat, box, cleared, orth
 from .errors import ConstructionError, PreconditionError
 
 F = Fraction
@@ -50,7 +57,7 @@ class OmegaCertificate:
 
 
 def _omega_spec(n: int, eps: Fraction) -> OmegaSpec:
-    eps = as_rat(eps)
+    n, eps = as_int(n), as_rat(eps)
     if n < 1:
         raise PreconditionError("need n >= 1")
     if not (0 < eps < 1):
@@ -109,6 +116,9 @@ def default_delta(eps: Fraction) -> Fraction:
 
 def default_weights(n: int, N: int) -> list[Fraction]:
     """Positive shift weights decaying like 1/(i^2 2^(i/sqrt(n)))."""
+    n, N = as_int(n), as_int(N)
+    if n < 1:
+        raise PreconditionError("need n >= 1")
     s = isqrt(n)
     if s * s < n:
         s += 1
@@ -134,14 +144,19 @@ class PsiCertificate:
 
     def envelope_holds(self) -> bool:
         """c'/((t+1)^2 B_t) <= |psi(t)| <= 1/(c'(t+1)^2 B_t) against the
-        adverse side of each stored bracket for B_t = 2^(c'' t / sqrt(n))."""
-        if self.c_prime <= 0:
+        adverse side of each stored bracket lo <= B_t <= hi for
+        B_t = 2^(c'' t / sqrt(n)): |psi(t)| >= c'/((t+1)^2 lo) and
+        |psi(t)| <= 1/(c'(t+1)^2 hi), both cross-multiplied out in the
+        stored numerators and (positive) denominators."""
+        cn, cd = self.c_prime.numerator, self.c_prime.denominator
+        if cn <= 0:
             return False
         for t, lo, hi in self.envelope_brackets:
-            a = abs(self.psi_values[t])
-            if a < self.c_prime / ((t + 1) ** 2 * hi):
+            a = self.psi_values[t]
+            an, ad, s = abs(a.numerator), a.denominator, (t + 1) ** 2
+            if an * cd * s * lo.numerator < cn * lo.denominator * ad:
                 return False
-            if a > 1 / (self.c_prime * (t + 1) ** 2 * lo):
+            if an * cn * s * hi.numerator > cd * hi.denominator * ad:
                 return False
         return True
 
@@ -155,45 +170,45 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3)) -> tuple[FnTable, PsiCe
     `default_weights(n, N)`; the envelope exponent c'' is 1.  Fails loudly
     when delta is too large to keep the mass at zero above the threshold.
     """
-    eps = as_rat(eps)
-    if N is None:
-        N = n
+    n, eps = as_int(n), as_rat(eps)
+    N = n if N is None else as_int(N)
     if not (N >= n >= 1):
         raise PreconditionError("need N >= n >= 1")
     if not (0 < eps < 1):
         raise PreconditionError("eps must lie strictly between 0 and 1")
     half = -(-n // 2)
     omega_t, omega_cert = build_omega(half, eps / 6)
-    scale = 1 / omega_cert.l1
-    om = {t: v * scale for (t,), v in omega_t.entries.items()}
-
     delta = default_delta(eps)
-    weights = default_weights(n, N)
+    wnums, wden = cleared(default_weights(n, N))
+    onums, _ = cleared(list(omega_t.entries.values()))
+    om = dict(zip([t for (t,) in omega_t.entries], onums))
 
     # psi_raw(t) = omega(t) + sum_{1 <= i <= cut} c_i omega(t - i)
     #                        + sum_{cut < i <= N} c_i omega(i - t),
     # c_i = delta (-1)^i w_i, summed over omega's few support points u:
     # i = t - u in the first sum, i = t + u in the second.  At u = 0 both
     # are i = t, which lies in only one of the two ranges.
+    # In integers: omega(u) = onums(u) / oden, w_i = wnums[i - 1] / wden and
+    # delta = p / q, so raw[t] = q wden oden psi_raw(t)
+    #                          = q wden onums(t) + p sum (-1)^i wnums[i - 1] onums(u).
     cut = N - half
-    c = [F(0)] + [delta * w if i % 2 == 0 else -delta * w
-                  for i, w in enumerate(weights, start=1)]
-    psi_raw: dict[int, Fraction] = {}
+    c = [0] + [w if i % 2 == 0 else -w for i, w in enumerate(wnums, start=1)]
+    scale = delta.denominator * wden
+    raw = []
     for t in range(N + 1):
-        acc = om.get(t, F(0))
+        acc = 0
         for u, v in om.items():
             if 1 <= t - u <= cut:
                 acc += c[t - u] * v
             if cut < t + u <= N:
                 acc += c[t + u] * v
-        psi_raw[t] = acc
+        raw.append(scale * om.get(t, 0) + delta.numerator * acc)
 
-    total = sum(abs(v) for v in psi_raw.values())
-    psi_vals = {t: v / total for t, v in psi_raw.items()}
+    total = sum(map(abs, raw))
+    psi_vals = {t: F(v, total) for t, v in enumerate(raw)}
     table = FnTable(box([N]), {(t,): v for t, v in psi_vals.items() if v})
 
-    sign_ok = all(psi_vals[t] != 0 and (psi_vals[t] > 0) == (t % 2 == 0)
-                  for t in range(N + 1))
+    sign_ok = all(v != 0 and (v > 0) == (t % 2 == 0) for t, v in enumerate(raw))
     at_zero = psi_vals[0]
     if at_zero <= (1 - eps) / 2:
         raise ConstructionError(
@@ -203,19 +218,25 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3)) -> tuple[FnTable, PsiCe
     if r is None or r < claimed:
         raise ConstructionError("psi lost the orthogonality of omega")
 
-    # envelope constants, with per-t dyadic brackets for 2^(c'' t / sqrt(n)), c'' = 1
+    # envelope constants, with per-t dyadic brackets for 2^(c'' t / sqrt(n)), c'' = 1:
+    # c' = min_t min(a s lo, 1 / (a s hi)) for a = |raw[t]| / total, s = (t+1)^2,
+    # kept as the integer pair (cn, cd) and compared by cross-multiplication
     inv_lo, inv_hi = inv_sqrt_brackets(n, 24)
     brackets: list[tuple[int, Fraction, Fraction]] = []
-    c_prime: Fraction | None = None
-    for t in range(N + 1):
+    cn, cd = 1, 0  # +infinity
+    for t, v in enumerate(raw):
         lo = pow2_brackets(t * inv_lo)[0]
         hi = pow2_brackets(t * inv_hi)[1]
         brackets.append((t, lo, hi))
-        a = abs(psi_vals[t])
-        cand = min(a * (t + 1) ** 2 * lo, 1 / (a * (t + 1) ** 2 * hi))
-        c_prime = cand if c_prime is None else min(c_prime, cand)
+        a, s = abs(v), (t + 1) ** 2
+        for xn, xd in ((a * s * lo.numerator, total * lo.denominator),
+                       (total * hi.denominator, a * s * hi.numerator)):
+            if xn * cd < cn * xd:
+                cn, cd = xn, xd
+    c_prime = F(cn, cd)
 
-    l1 = table.l1()
+    pnums, pden = cleared(list(psi_vals.values()))
+    l1 = F(sum(map(abs, pnums)), pden)
     cert = PsiCertificate(n=n, N=N, eps=eps, delta=delta, l1=l1,
                           at_zero=at_zero, sign_ok=sign_ok,
                           orth_claimed=claimed, orth_value=r,

@@ -580,11 +580,14 @@ def weight_reduce(mix: ProductMixture, d: int, theta: int,
         raise PreconditionError("expected a probability distribution")
     heavy = {p: v for p, v in dense.entries.items() if sum(p) >= 2 * theta}
     zeta: dict[Point, Fraction] = {}
+    built: dict[Point, FnTable] = {}  # one anchored corrector per distinct u
     for vpt, mass_v in sorted(heavy.items()):
         hs = select_heavy_set(vpt, theta)
         S = sorted(hs.indices)
         u = tuple(vpt[i] for i in S)
-        zu_table, _ = build_zeta_u(u, d)
+        if u not in built:
+            built[u] = build_zeta_u(u, d)[0]
+        zu_table = built[u]
         placed = {}
         for w, val in zu_table.entries.items():
             p = list(vpt)

@@ -9,7 +9,8 @@ from ptfwitness.amplification import booleanize, min_smooth_amplify
 from ptfwitness.brackets import pow2_brackets
 from ptfwitness.core import FnTable, box, fourier, hypercube, orth, point_mass, uniform
 from ptfwitness.dual_mp import build_mp_smooth_witness, build_or_gadget
-from ptfwitness.dual_or import build_omega, build_psi, default_delta
+from ptfwitness.corrector import build_zeta_cube, build_zeta_u, corrector_levels
+from ptfwitness.dual_or import build_omega, build_psi, default_delta, default_weights
 from ptfwitness.errors import PreconditionError
 from ptfwitness.lp import LPProblem
 from ptfwitness.mixtures import ProductMixture
@@ -161,3 +162,20 @@ FLOAT_INPUTS = {
 def test_float_input_raises_precondition_error(entry):
     with pytest.raises(PreconditionError, match="not an exact rational"):
         FLOAT_INPUTS[entry]()
+
+
+BAD_SIZES = {
+    "build_psi_float_n": lambda: build_psi(5.0),
+    "build_psi_bool_n": lambda: build_psi(True),
+    "build_zeta_u_float_d": lambda: build_zeta_u((2, 2), 1.0),
+    "build_zeta_u_float_u": lambda: build_zeta_u((2.0, 2), 1),
+    "build_zeta_cube_float_d": lambda: build_zeta_cube(3, 1.5),
+    "corrector_levels_float_d": lambda: corrector_levels(3, 1.0),
+    "default_weights_n0": lambda: default_weights(0, 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BAD_SIZES))
+def test_bad_size_raises_precondition_error(entry):
+    with pytest.raises(PreconditionError):
+        BAD_SIZES[entry]()
