@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 from .brackets import (
     e_brackets,
@@ -539,24 +540,37 @@ def amplify_circuit_once(f_circuit: CircuitDesc, m: int, theta: int
     return merged, info
 
 
+def _floor_cbrt(n: int) -> int:
+    """The largest s with s^3 <= n (0 for n < 1), one bit at a time."""
+    s = 0
+    for b in reversed(range(n.bit_length() // 3 + 1)):
+        if (s | 1 << b) ** 3 <= n:
+            s |= 1 << b
+    return s
+
+
+def _round_sqrt(n: int) -> int:
+    """sqrt(n) rounded to the nearest integer, for n >= 0 (no tie occurs)."""
+    r = isqrt(n)
+    return r + (n - r * r > r)
+
+
 def build_fkn(k: int, n: int) -> CircuitDesc:
     """The recursive monotone family: a single literal at depth one, the
     Minsky-Papert circuit at depth two, and one amplification step on top
     of the k-2 member after that.  Toy-scale parameters."""
-    if k < 1:
-        raise PreconditionError("need k >= 1")
+    if k < 1 or n < 0:
+        raise PreconditionError("need k >= 1 and n >= 0")
     if k == 1:
         return literal(max(n, 1))
     if k == 2:
-        s = round(n ** (1 / 3))
-        while s ** 3 > n:
-            s -= 1
+        s = _floor_cbrt(n)
         if s < 1:
             raise PreconditionError(f"degenerate parameters: n={n} too small for depth 2")
         return mp(s, s * s)
     if k == 3:
         inner = literal(1)
-        m = max(1, round(n ** (1 / 2)))
+        m = max(1, _round_sqrt(n))
         theta = max(2, n // max(1, m))
         circ, _ = amplify_circuit_once(inner, m, theta)
         return circ if circ.is_monotone() else circ.monotonized()

@@ -1,12 +1,14 @@
 """Two-sided rational enclosures for the irrational quantities the
-constructions compare against (ln n, e, square roots, rational powers).
+constructions compare against (ln n, e, square roots, powers of two).
 
 Every function returns a pair (lo, hi) of Fractions with lo <= value <= hi.
 Callers pick the adverse side, so a check that passes against a bracket is
 sound even though the bracket is not tight.  All internal rounding is
 directed and all comparisons are exact integer comparisons.  Inputs are
 ints or Fractions; anything else, a float included, raises
-PreconditionError.
+PreconditionError.  Only the square-root family takes a precision, `bits`,
+because its callers use two; the series and the powers of two each run at
+one fixed precision (LN_TERMS, E_TERMS, POW2_BITS).
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from .core import as_rat
 from .errors import PreconditionError
 
 Bracket = tuple[Fraction, Fraction]
+
+LN_TERMS = 24   # atanh series terms behind every logarithm
+E_TERMS = 20    # factorial series terms behind e
+POW2_BITS = 24  # square roots of 2 chained by pow2_brackets
 
 
 def _check_bits(bits: int) -> None:
@@ -81,66 +87,63 @@ def _ln_atanh(y: Fraction, terms: int) -> Bracket:
 
 
 @cache
-def _ln2(terms: int) -> Bracket:
-    """The ln 2 bracket, computed once per series length."""
-    return _ln_atanh(Fraction(2), terms)
+def _ln2() -> Bracket:
+    """The ln 2 bracket, computed once on first use."""
+    return _ln_atanh(Fraction(2), LN_TERMS)
 
 
-def ln_brackets_rational(x: Fraction, terms: int = 24) -> Bracket:
+def ln_brackets_rational(x: Fraction) -> Bracket:
     """Enclose ln(x) for a positive rational x by power-of-two reduction."""
     x = as_rat(x)
     if x <= 0:
         raise PreconditionError("ln of a nonpositive number")
     if x < 1:
-        lo, hi = ln_brackets_rational(1 / x, terms)
+        lo, hi = ln_brackets_rational(1 / x)
         return -hi, -lo
     # floor(x) < 2^(k + 1), so m = x / 2^k lies in [1, 2)
     k = (x.numerator // x.denominator).bit_length() - 1
     m = x / (1 << k)
-    ln2_lo, ln2_hi = _ln2(terms)
-    m_lo, m_hi = _ln_atanh(m, terms)
+    ln2_lo, ln2_hi = _ln2()
+    m_lo, m_hi = _ln_atanh(m, LN_TERMS)
     return k * ln2_lo + m_lo, k * ln2_hi + m_hi
 
 
-def ln_brackets(n: int, terms: int = 24) -> Bracket:
-    return ln_brackets_rational(n, terms)
-
-
-def one_plus_ln_brackets(n: int, terms: int = 24) -> Bracket:
-    lo, hi = ln_brackets(n, terms)
+def one_plus_ln_brackets(n: int) -> Bracket:
+    lo, hi = ln_brackets_rational(n)
     return 1 + lo, 1 + hi
 
 
-def log2_brackets(x: Fraction, terms: int = 24) -> Bracket:
+def log2_brackets(x: Fraction) -> Bracket:
     """Enclose log2(x) = ln(x)/ln(2) for positive rational x."""
-    ln_lo, ln_hi = ln_brackets_rational(x, terms)
-    l2_lo, l2_hi = _ln2(terms)
+    ln_lo, ln_hi = ln_brackets_rational(x)
+    l2_lo, l2_hi = _ln2()
     lo = ln_lo / l2_hi if ln_lo >= 0 else ln_lo / l2_lo
     hi = ln_hi / l2_lo if ln_hi >= 0 else ln_hi / l2_hi
     return lo, hi
 
 
-def e_brackets(terms: int = 20) -> Bracket:
+def e_brackets() -> Bracket:
     """Enclose Euler's number by the factorial series with its tail bound."""
     acc = Fraction(0)
     fact = 1
-    for k in range(terms + 1):
+    for k in range(E_TERMS + 1):
         if k:
             fact *= k
         acc += Fraction(1, fact)
-    tail = Fraction(2, fact * (terms + 1))
+    tail = Fraction(2, fact * (E_TERMS + 1))
     return acc, acc + tail
 
 
 @cache
-def _root_chain(bits: int) -> tuple[tuple[int, int], ...]:
-    """Brackets (r_lo, r_hi) of 2^(1/2^j) for j = 1 .. bits, as integer
-    numerators over 2^(2 bits + 8): each is the directed-rounded square
-    root of the one before, an isqrt of r << work, rounded up for r_hi."""
-    work = 2 * bits + 8
+def _root_chain() -> tuple[tuple[int, int], ...]:
+    """Brackets (r_lo, r_hi) of 2^(1/2^j) for j = 1 .. POW2_BITS, as
+    integer numerators over 2^(2 POW2_BITS + 8): each is the
+    directed-rounded square root of the one before, an isqrt of r << work,
+    rounded up for r_hi.  Computed once on first use."""
+    work = 2 * POW2_BITS + 8
     r_lo = r_hi = 2 << work
     chain = []
-    for _ in range(bits):
+    for _ in range(POW2_BITS):
         r_lo = isqrt(r_lo << work)
         t = r_hi << work
         r_hi = isqrt(t)
@@ -150,33 +153,30 @@ def _root_chain(bits: int) -> tuple[tuple[int, int], ...]:
     return tuple(chain)
 
 
-def pow2_brackets(exponent, bits: int = 24) -> Bracket:
+def pow2_brackets(exponent) -> Bracket:
     """Enclose 2**exponent for any rational exponent.
 
     Works digit by digit on the binary expansion of the fractional part f/q
     (read in integers: double f, subtract q once it reaches q), multiplying
-    in directed-rounded dyadic square roots of 2.  Their chain depends only
-    on `bits`, so it is computed once per precision (`_root_chain`).  The
+    in directed-rounded dyadic square roots of 2 (`_root_chain`).  The
     chain and the two accumulated products are integer numerators over the
     fixed denominator 2^work, and a rounded product is (a * b) >> work,
     floor or ceiling.  Fractions are built only for the returned pair, so
     arbitrary exponent denominators stay cheap.
     """
-    _check_bits(bits)
     e = as_rat(exponent)
     if e < 0:
-        lo, hi = pow2_brackets(-e, bits)
+        lo, hi = pow2_brackets(-e)
         return 1 / hi, 1 / lo
     q = e.denominator
     k, f = divmod(e.numerator, q)
     if f == 0:
         base = Fraction(1 << k)
         return base, base
-    work = 2 * bits + 8
+    work = 2 * POW2_BITS + 8
     one = 1 << work
     lo_acc, hi_acc = one, one  # numerators over 2^work
-    r_hi = 2 << work  # 2^(1/2^0), absorbed in the tail when bits = 0
-    for r_lo, r_hi in _root_chain(bits):
+    for r_lo, r_hi in _root_chain():
         f *= 2
         if f >= q:
             f -= q
@@ -185,21 +185,6 @@ def pow2_brackets(exponent, bits: int = 24) -> Bracket:
         if f == 0:
             break
     if f != 0:
-        # unresolved tail exponent is below 2^-bits; absorb one more factor
+        # unresolved tail exponent is below 2^-POW2_BITS; absorb one more factor
         hi_acc = -((-hi_acc * r_hi) >> work)
     return Fraction(lo_acc << k, one), Fraction(hi_acc << k, one)
-
-
-def pow_brackets(base, exponent, bits: int = 24) -> Bracket:
-    """Enclose base**exponent for positive rational base and exponent."""
-    _check_bits(bits)
-    b = as_rat(base)
-    e = as_rat(exponent)
-    if b <= 0:
-        raise PreconditionError("pow of a nonpositive base")
-    if e == 0 or b == 1:
-        return Fraction(1), Fraction(1)
-    log_lo, log_hi = log2_brackets(b)
-    candidates = [e * log_lo, e * log_hi]
-    x_lo, x_hi = min(candidates), max(candidates)
-    return pow2_brackets(x_lo, bits)[0], pow2_brackets(x_hi, bits)[1]

@@ -3,7 +3,8 @@
 Subcommands: witness (build dual objects), oracle (exact degree and
 discrepancy queries), bounds (pattern matrices, Forster, sign-rank),
 amplify (one circuit amplification step), circuits (constructors and
-exports), verify (re-check a stored artifact), repro (the acceptance
+exports), verify (parse and validate a stored table or circuit; a stored
+certificate is not re-checked yet, so it fails), repro (the acceptance
 suite).  Exit code 0 means every requested certificate passed.
 
 Rationals on the command line are "p/q" strings; floats are not accepted
@@ -270,10 +271,10 @@ def cmd_verify(args) -> int:
         print(f"PASS circuit: size {circ.size()}, depth {circ.depth()}")
         return 0
     if schema.startswith("certificate/"):
-        body = data.get("body", {})
-        print(f"PASS certificate: type {body.get('_type', 'unknown')}, "
-              f"{len(body)} recorded fields")
-        return 0
+        # no certificate type is re-derived yet, so none may pass
+        kind = data.get("body", {}).get("_type", "unknown")
+        print(f"FAIL no re-check for certificate type {kind}", file=sys.stderr)
+        return 1
     print(f"FAIL unknown artifact schema {schema!r}", file=sys.stderr)
     return 1
 
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out")
     c.set_defaults(run=cmd_circuits)
 
-    v = sub.add_parser("verify", help="re-check a stored artifact")
+    v = sub.add_parser("verify", help="parse and validate a stored table or circuit")
     v.add_argument("artifact")
     v.set_defaults(run=cmd_verify)
 

@@ -1,10 +1,10 @@
 """Exact arithmetic core.
 
 Finite integer domains (boxes, hypercubes, weight slices), finitely
-supported rational-valued functions on them, inner products, orthogonal
-content, tensor products, the Fourier transform on the hypercube, and
-symmetrization.  Everything here is exact: values are `fractions.Fraction`
-and no operation rounds.
+supported rational-valued functions on them, orthogonal content, tensor
+products, the Fourier transform on the hypercube, and symmetrization.
+Everything here is exact: values are `fractions.Fraction` and no
+operation rounds.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ Point = tuple[int, ...]
 
 def as_rat(x) -> Fraction:
     """x as a Fraction; only ints and Fractions are exact inputs, and
-    anything else (a float in particular) raises PreconditionError."""
+    anything else (a float or a bool in particular) raises
+    PreconditionError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise PreconditionError(f"not an exact rational: {x!r}")
 
@@ -207,10 +208,6 @@ class FnTable:
     def __repr__(self) -> str:
         return f"FnTable(dim={self.domain.n}, support={len(self.entries)})"
 
-    @property
-    def support(self) -> dict[Point, Fraction]:
-        return self.entries
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -266,10 +263,6 @@ class FnTable:
                 out[p] = v * w
         return FnTable(self.domain, out, _trusted=True)
 
-    def abs(self) -> "FnTable":
-        return FnTable(self.domain, {p: abs(v) for p, v in self.entries.items()},
-                       _trusted=True)
-
     def restrict_weight(self, lo: int | None = None, hi: int | None = None) -> "FnTable":
         """Keep only support points whose weight lies in [lo, hi]."""
         out = {p: v for p, v in self.entries.items()
@@ -289,19 +282,6 @@ def merge_domains(a: Domain, b: Domain) -> Domain:
     top = tuple(max(ao + ab, bo + bb)
                 for ao, ab, bo, bb in zip(a.offset, a.bounds, b.offset, b.bounds))
     return Domain(tuple(t - o for t, o in zip(top, off)), off, None)
-
-
-def inner_product(f: FnTable, g: FnTable) -> Fraction:
-    """Sum of f(x) g(x) over the intersection of supports."""
-    if f.domain.n != g.domain.n:
-        raise PreconditionError("dimension mismatch")
-    small, big = (f, g) if len(f.entries) <= len(g.entries) else (g, f)
-    acc = Fraction(0)
-    for p, v in small.entries.items():
-        w = big.entries.get(p)
-        if w is not None:
-            acc += v * w
-    return acc
 
 
 def eval_monomial(p: Point, alpha: Point) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 
 from .brackets import sqrt_brackets, sqrt_lower
-from .core import FnTable, cleared, fourier
+from .core import FnTable, as_rat, cleared, fourier
 from .errors import PreconditionError, VerificationError
 from .linalg import matrix_rank, positive_definite
 from .oracles import DegreeAnswer, check_smooth_witness
@@ -127,16 +127,16 @@ def forster_bound(matrix) -> ForsterBound:
     found by bisection on that test from the bracket
     [max_i G_ii, trace G + 1] (G_ii <= ||A||^2 <= trace G), stopping when
     hi - lo <= lo / 2^FORSTER_BITS.  The bound is
-    sqrt_lower(|X||Y| / lambda) * min |a|.  Entries must be nonzero ints or
-    Fractions.
+    sqrt_lower(|X||Y| / lambda) * min |a|.  Entries pass `core.as_rat` and
+    must be nonzero.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if cols == 0 or any(len(row) != cols for row in matrix):
         raise PreconditionError("matrix must be nonempty and rectangular")
-    entries = [v for row in matrix for v in row]
-    if not all(isinstance(v, (int, Fraction)) and v != 0 for v in entries):
-        raise PreconditionError("entries must be nonzero ints or Fractions")
+    entries = [as_rat(v) for row in matrix for v in row]
+    if 0 in entries:
+        raise PreconditionError("entries must be nonzero")
     nums, den = cleared(entries)
     a = [nums[i:i + cols] for i in range(0, len(nums), cols)]
     if rows > cols:

@@ -100,25 +100,6 @@ class ProductMixture:
         return all(c >= 0 for c, _ in self.terms) and \
             sum((c for c, _ in self.terms), F(0)) == 1
 
-    def evaluate(self, point: tuple[int, ...]) -> Fraction:
-        blocks: list[tuple[int, ...]] = []
-        k = 0
-        doms = [self.position_domain(i) for i in range(self.width)]
-        for d in doms:
-            blocks.append(tuple(point[k:k + d.n]))
-            k += d.n
-        if k != len(point):
-            raise PreconditionError("point length mismatch")
-        acc = F(0)
-        for c, labs in self.terms:
-            prod = c
-            for lab, blk in zip(labs, blocks):
-                prod *= self.factors[lab](blk)
-                if prod == 0:
-                    break
-            acc += prod
-        return acc
-
     def densify(self) -> FnTable:
         dom = self.ambient_domain()
         if dom.size() > DENSIFY_LIMIT:
@@ -176,12 +157,11 @@ class FamilySpec:
     K: Fraction | None = None
     n: int | None = None
     delta: int = 0
-    bits: int = 24
 
     def _alpha_brackets(self, t: int) -> Bracket:
         if not self.alpha:
             return F(1), F(1)
-        return pow2_brackets(self.alpha * t, self.bits)
+        return pow2_brackets(self.alpha * t)
 
     def member(self, table: FnTable) -> bool:
         if self.kind in ("bounded", "bounded_star"):

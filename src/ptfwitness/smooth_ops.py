@@ -1,17 +1,19 @@
 """Manipulation toolkit for locally smooth functions on integer boxes.
 
-Dominant-coordinate selection, concentration checks for product
-distributions, weight transfer (moving all mass below a weight threshold
-without low-degree polynomials noticing), cap and ball mass comparisons,
-anchored zeroizers, heavy-tail removal, and min-smooth redistribution.
-Heavy-tail removal and weight transfer on convex combinations of products
-share one per-term loop: each term is moved to the zero corner of its
-support, reduced there, shifted back and recombined, and the difference
-from the dense mixture is checked to be orthogonal beyond degree d.
+Dominant-coordinate selection, weight transfer (moving all mass below a
+weight threshold without low-degree polynomials noticing), anchored
+zeroizers, heavy-tail removal, and min-smooth redistribution.  The
+concentration and cap/ball mass comparisons enter only through the closed
+forms they justify: the family preconditions of weight transfer and the
+zeroizer bound.  Heavy-tail removal and weight transfer on convex
+combinations of products share one per-term loop: each term is moved to
+the zero corner of its support, reduced there, shifted back and
+recombined, and the difference from the dense mixture is checked to be
+orthogonal beyond degree d.
 
 Every operation returns a certificate whose inequalities were re-checked
 by an independent pass over the dense table.  Irrational thresholds
-(factors of e, 1 + ln n, fractional powers) are handled through stored
+(factors of e, 1 + ln n, powers of two) are handled through stored
 two-sided rational brackets; a check passes only when it passes against
 the adverse side of its bracket.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .brackets import e_brackets, one_plus_ln_brackets, pow2_brackets, pow_brackets, sqrt_lower
+from .brackets import e_brackets, one_plus_ln_brackets, pow2_brackets
 from .core import Domain, FnTable, add_scaled, as_rat, orth, smoothness_constant, tighten_domain
 from .corrector import build_zeta_u, build_zeta_uv
 from .errors import ConstructionError, PreconditionError
@@ -95,127 +97,13 @@ def select_heavy_set(v, theta) -> HeavySet:
     return hs
 
 
-# ---------------------------------------------------------- concentration
-
-
-@dataclass
-class ConcentrationReport:
-    theta: Fraction
-    precondition_ok: bool
-    envelope_ok: bool
-    tail: Fraction
-    bound_lower: Fraction
-    passed: bool
-
-
-def check_concentration(lambdas: list[FnTable], C, alpha, theta) -> ConcentrationReport:
-    """Exact tail mass of a product of univariate distributions against the
-    alpha^(theta/2) target.
-
-    The envelope and the tail are exact; alpha^(theta/2) is compared on its
-    adverse (lower) side when theta is odd, and the precondition involving
-    e and ln n is checked against upper brackets.
-    """
-    C, alpha, theta = as_rat(C), as_rat(alpha), as_rat(theta)
-    if not (0 <= alpha <= 1) or C < 0:
-        raise PreconditionError("need 0 <= alpha <= 1 and C >= 0")
-    n = len(lambdas)
-    envelope_ok = True
-    for lam in lambdas:
-        if lam.domain.n != 1 or not lam.is_distribution():
-            raise PreconditionError("factors must be univariate distributions")
-        for (t,), val in lam.entries.items():
-            if val * (t + 1) ** 2 > C * alpha ** t:
-                envelope_ok = False
-    _, e_hi = e_brackets()
-    _, log_hi = one_plus_ln_brackets(n)
-    precondition_ok = theta >= 8 * C * e_hi * n * log_hi
-    # exact weight-sum distribution by convolution
-    weight_mass: dict[int, Fraction] = {0: F(1)}
-    for lam in lambdas:
-        nxt: dict[int, Fraction] = {}
-        for w, p in weight_mass.items():
-            for (t,), val in lam.entries.items():
-                nxt[w + t] = nxt.get(w + t, F(0)) + p * val
-        weight_mass = nxt
-    tail = sum((p for w, p in weight_mass.items() if w >= theta), F(0))
-    if theta.denominator == 1 and theta.numerator % 2 == 0:
-        bound_lower = alpha ** (theta.numerator // 2)
-    else:
-        # adverse side: a lower bracket of alpha^(theta/2)
-        half = theta / 2
-        ip = half.numerator // half.denominator
-        frac = half - ip
-        bound_lower = alpha ** ip * _rational_pow_lower(alpha, frac)
-    passed = envelope_ok and precondition_ok and tail <= bound_lower
-    return ConcentrationReport(theta=theta, precondition_ok=precondition_ok,
-                               envelope_ok=envelope_ok, tail=tail,
-                               bound_lower=bound_lower, passed=passed)
-
-
-def _rational_pow_lower(base: Fraction, expo: Fraction, bits: int = 24) -> Fraction:
-    if base == 0:
-        return F(0) if expo > 0 else F(1)
-    if expo == 0:
-        return F(1)
-    if expo.denominator == 2:
-        return sqrt_lower(base ** expo.numerator, bits)
-    return pow_brackets(base, expo, bits)[0]
-
-
-# ------------------------------------------------------------ cap and ball
-
-
-@dataclass
-class CapBallReport:
-    theta: int
-    d: int
-    K: Fraction
-    smooth_ok: bool
-    cap_ok: bool
-    ball_ok: bool
-    checked_anchors: int
+# ------------------------------------------------------------- zeroizers
 
 
 def _ball_points(dom: Domain, u: Point, d: int):
     for p in dom.points():
         if sum(abs(a - b) for a, b in zip(p, u)) <= d:
             yield p
-
-
-def verify_cap_ball(lam: FnTable, theta: int, d: int, K=None) -> CapBallReport:
-    """Exact checks of the two mass-comparison inequalities for a K-smooth
-    distribution on the weight-capped box, the ball one at every anchor."""
-    dom = lam.domain
-    if any(dom.offset):
-        raise PreconditionError("cap/ball checks expect a zero-based box")
-    if not 0 <= d <= theta:
-        raise PreconditionError("need 0 <= d <= theta")
-    k_actual = smoothness_constant(lam, weight_cap=theta)
-    if k_actual is None:
-        raise PreconditionError("function vanishes inside the region")
-    K = k_actual if K is None else as_rat(K)
-    smooth_ok = k_actual <= K
-    n = dom.n
-    cap_mass = lam.mass(hi=theta)
-    cap_ok = cap_mass <= K ** d * comb(n + d, d) * lam.mass(hi=theta - d)
-    ball_ok = True
-    total_r = sum(dom.bounds)
-    if not (2 * d < min(theta, total_r)):
-        raise PreconditionError("ball comparison needs d < min(theta, sum r_i) / 2")
-    factor = 2 ** (d + 1) * K ** (2 * d + 1) * comb(n + d, d)
-    for u in dom.points():
-        ball = set(_ball_points(dom, u, d))
-        outside = sum((v for p, v in lam.entries.items()
-                       if sum(p) <= theta and p not in ball), F(0))
-        if cap_mass > factor * outside:
-            ball_ok = False
-    return CapBallReport(theta=theta, d=d, K=K, smooth_ok=smooth_ok,
-                         cap_ok=cap_ok, ball_ok=ball_ok,
-                         checked_anchors=dom.size())
-
-
-# -------------------------------------------------------------- zeroizers
 
 
 def _diam(points) -> int:
@@ -635,7 +523,7 @@ def weight_reduce_convex(mix: ProductMixture, d: int, theta: int,
     base_family = None
     if family is not None:
         base_family = FamilySpec(kind=family.kind, r=family.r, c=family.c,
-                                 alpha=family.alpha, delta=0, bits=family.bits)
+                                 alpha=family.alpha, delta=0)
 
     def reduce_term(labels, base, shift):
         if family is not None and any(a - mix.factors[lab].domain.offset[0] > family.delta

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from ptfwitness.brackets import (
     e_brackets,
     inv_sqrt_brackets,
-    ln_brackets,
     ln_brackets_rational,
     log2_brackets,
     pow2_brackets,
-    pow_brackets,
     sqrt_brackets,
     sqrt_lower,
     sqrt_upper,
@@ -36,7 +34,7 @@ def test_e_brackets():
 @given(st.integers(1, 200))
 @settings(max_examples=40, deadline=None)
 def test_ln_brackets(n):
-    lo, hi = ln_brackets(n)
+    lo, hi = ln_brackets_rational(n)
     assert lo <= hi
     assert float(lo) - 1e-12 <= math.log(n) <= float(hi) + 1e-12
     assert hi - lo < F(1, 10**6)
@@ -52,20 +50,12 @@ def test_pow2_brackets(num, den):
     assert lo > 0
 
 
-def test_pow_brackets_fraction_base():
-    lo, hi = pow_brackets(F(1, 2), F(7, 2))
-    v = 0.5**3.5
-    assert float(lo) <= v <= float(hi)
-
-
 def test_negative_bits_rejected():
     calls = [
-        lambda: pow2_brackets(F(1, 3), bits=-5),
         lambda: sqrt_brackets(2, bits=-1),
         lambda: sqrt_lower(F(2), bits=-1),
         lambda: sqrt_upper(F(2), bits=-1),
         lambda: inv_sqrt_brackets(3, bits=-1),
-        lambda: pow_brackets(F(3), F(1, 2), bits=-1),
     ]
     for call in calls:
         with pytest.raises(PreconditionError):
@@ -80,9 +70,6 @@ def test_floats_rejected():
         lambda: inv_sqrt_brackets(2.5),
         lambda: pow2_brackets(0.1),
         lambda: pow2_brackets(-0.1),
-        lambda: pow_brackets(F(3), 0.5),
-        lambda: pow_brackets(1.5, F(1, 2)),
-        lambda: ln_brackets(2.0),
         lambda: ln_brackets_rational(0.5),
         lambda: log2_brackets(3.0),
     ]
@@ -160,7 +147,7 @@ exponents = st.one_of(
 )
 
 
-@given(exponents, st.integers(0, 32))
+@given(exponents)
 @settings(max_examples=300, deadline=None)
-def test_pow2_matches_fraction_reference(e, bits):
-    assert pow2_brackets(e, bits) == _pow2_reference(e, bits)
+def test_pow2_matches_fraction_reference(e):
+    assert pow2_brackets(e) == _pow2_reference(e, 24)

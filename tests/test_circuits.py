@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptfwitness.amplification import build_fkn
+from ptfwitness.amplification import _floor_cbrt, _round_sqrt, build_fkn
 from ptfwitness.circuits import (
     CircuitDesc,
     krause_pudlak,
@@ -130,5 +130,17 @@ def test_build_fkn():
 
 
 def test_build_fkn_degenerate():
-    with pytest.raises(PreconditionError):
-        build_fkn(2, 0)
+    for k, n in ((2, 0), (3, -1), (0, 4)):
+        with pytest.raises(PreconditionError):
+            build_fkn(k, n)
+
+
+def test_fkn_integer_roots_match_float_formulas():
+    # build_fkn's sizes as they were computed in floats, now the reference
+    for n in range(1, 10_001):
+        s = round(n ** (1 / 3))
+        while s ** 3 > n:
+            s -= 1
+        assert _floor_cbrt(n) == s
+        assert _round_sqrt(n) == round(n ** (1 / 2))
+    assert 64 ** (1 / 3) < 4 and _floor_cbrt(64) == 4

@@ -106,6 +106,20 @@ def test_cli_verify(tmp_path, capsys):
     assert "distribution = True" in capsys.readouterr().out
 
 
+def test_cli_verify_fails_unchecked_certificate(tmp_path, capsys):
+    # the table parses and validates; its certificate has no re-check, so
+    # verify must not report it as passed
+    out = tmp_path / "psi"
+    assert main(["witness", "build", "dual-or", "--n", "16", "--eps", "1/3",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out / "psi.json")]) == 0
+    assert capsys.readouterr().out.startswith("PASS fntable")
+    assert main(["verify", str(out / "psi.cert.json")]) == 1
+    assert capsys.readouterr().err.strip() == \
+        "FAIL no re-check for certificate type PsiCertificate"
+
+
 def test_cli_smooth_degthr(capsys):
     code = main(["oracle", "smooth-degthr", "--fn", "parity", "--n", "2",
                  "--gamma", "1/1"])

@@ -7,16 +7,17 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact_references import inner_product
 from monomial_tables import monomial_table
 from ptfwitness.core import (
     Domain,
     FnTable,
+    as_rat,
     box,
     chi,
     eval_monomial,
     fourier,
     hypercube,
-    inner_product,
     least_poly_degree,
     lift_symmetric_to_cube,
     monomials,
@@ -33,6 +34,11 @@ F = Fraction
 def char_table(n, S):
     dom = hypercube(n)
     return FnTable(dom, {p: F(chi(frozenset(S), p)) for p in dom.points()})
+
+
+def test_as_rat_rejects_bool():
+    with pytest.raises(PreconditionError, match="not an exact rational"):
+        as_rat(True)
 
 
 def test_domain_enumeration_lex():

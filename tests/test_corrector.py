@@ -84,7 +84,7 @@ def test_zeta_uv_support_and_orth():
     for p in z.entries:
         assert p == u or sum(abs(a - b) for a, b in zip(p, v)) <= d
     one = FnTable(z.domain, {p: F(1) for p in z.domain.points()})
-    from ptfwitness.core import inner_product
+    from exact_references import inner_product
 
     assert inner_product(z, one) == 0
 

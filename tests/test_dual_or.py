@@ -3,8 +3,9 @@ from math import comb
 
 import pytest
 
+from exact_references import inner_product
 from ptfwitness import dual_or
-from ptfwitness.core import FnTable, box, inner_product
+from ptfwitness.core import FnTable, box
 from ptfwitness.dual_or import (
     _omega_spec,
     build_omega,

@@ -110,7 +110,8 @@ def test_staircase_sanity():
 
 
 def test_forster_rejects_bad_entries():
-    for bad in ([], [[]], [[1, 0]], [[1, 1], [1]], [[1.0, 1]], [["1", 1]]):
+    for bad in ([], [[]], [[1, 0]], [[1, 1], [1]], [[1.0, 1]], [["1", 1]],
+                [[True, 1], [1, -1]]):
         with pytest.raises(PreconditionError):
             forster_bound(bad)
 

