@@ -1,10 +1,14 @@
 """Two-sided rational enclosures for the irrational quantities the
 constructions compare against (ln n, e, square roots, powers of two).
 
-Every function returns a pair (lo, hi) of Fractions with lo <= value <= hi.
-Callers pick the adverse side, so a check that passes against a bracket is
-sound even though the bracket is not tight.  All internal rounding is
-directed and all comparisons are exact integer comparisons.  Inputs are
+Every function returns a pair (lo, hi) of Fractions with lo <= value <= hi,
+except `pow2_bound`, which returns the one side of a power-of-two bracket
+that its caller needs.  Callers pick the adverse side, so a check that
+passes against a bracket is sound even though the bracket is not tight.
+All internal rounding is directed and all comparisons are exact integer
+comparisons.  The square roots and the power-of-two digit loop run on
+integer numerators over a fixed power-of-two denominator, and build a
+Fraction only for each returned value.  Inputs are
 ints or Fractions; anything else, a float included, raises
 PreconditionError.  Only the square-root family takes a precision, `bits`,
 because its callers use two; the series and the powers of two each run at
@@ -17,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt
 
-from .core import as_rat
+from .core import as_int, as_rat
 from .errors import PreconditionError
 
 Bracket = tuple[Fraction, Fraction]
@@ -153,38 +157,47 @@ def _root_chain() -> tuple[tuple[int, int], ...]:
     return tuple(chain)
 
 
-def pow2_brackets(exponent) -> Bracket:
-    """Enclose 2**exponent for any rational exponent.
+def pow2_bound(num: int, den: int, *, upper: bool) -> Fraction:
+    """One side of the bracket of 2**(num/den): the lower side, or the upper
+    side when `upper` is set, for integers num and den >= 1 (the pair need
+    not be in lowest terms).
 
     Works digit by digit on the binary expansion of the fractional part f/q
     (read in integers: double f, subtract q once it reaches q), multiplying
     in directed-rounded dyadic square roots of 2 (`_root_chain`).  The
-    chain and the two accumulated products are integer numerators over the
+    chain and the accumulated product are integer numerators over the
     fixed denominator 2^work, and a rounded product is (a * b) >> work,
-    floor or ceiling.  Fractions are built only for the returned pair, so
-    arbitrary exponent denominators stay cheap.
+    floor or ceiling.  A negative exponent is the reciprocal of the
+    opposite side for -num/den.  One Fraction is built, for the returned
+    value, so arbitrary exponent denominators stay cheap.
     """
-    e = as_rat(exponent)
-    if e < 0:
-        lo, hi = pow2_brackets(-e)
-        return 1 / hi, 1 / lo
-    q = e.denominator
-    k, f = divmod(e.numerator, q)
-    if f == 0:
-        base = Fraction(1 << k)
-        return base, base
+    num, den = as_int(num), as_int(den)
+    if den < 1:
+        raise PreconditionError("need den >= 1")
+    flip = num < 0
+    if flip:
+        num, upper = -num, not upper
     work = 2 * POW2_BITS + 8
     one = 1 << work
-    lo_acc, hi_acc = one, one  # numerators over 2^work
-    for r_lo, r_hi in _root_chain():
-        f *= 2
-        if f >= q:
-            f -= q
-            lo_acc = (lo_acc * r_lo) >> work
-            hi_acc = -((-hi_acc * r_hi) >> work)
-        if f == 0:
-            break
-    if f != 0:
-        # unresolved tail exponent is below 2^-POW2_BITS; absorb one more factor
-        hi_acc = -((-hi_acc * r_hi) >> work)
-    return Fraction(lo_acc << k, one), Fraction(hi_acc << k, one)
+    k, f = divmod(num, den)
+    acc = one  # numerator over 2^work
+    if f:
+        for r_lo, r_hi in _root_chain():
+            f *= 2
+            if f >= den:
+                f -= den
+                acc = -((-acc * r_hi) >> work) if upper else (acc * r_lo) >> work
+            if f == 0:
+                break
+        if f and upper:
+            # unresolved tail exponent is below 2^-POW2_BITS; absorb one more factor
+            acc = -((-acc * r_hi) >> work)
+    return Fraction(one, acc << k) if flip else Fraction(acc << k, one)
+
+
+def pow2_brackets(exponent) -> Bracket:
+    """Enclose 2**exponent for any rational exponent: both sides of
+    `pow2_bound`."""
+    e = as_rat(exponent)
+    n, d = e.numerator, e.denominator
+    return pow2_bound(n, d, upper=False), pow2_bound(n, d, upper=True)

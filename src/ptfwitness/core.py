@@ -4,7 +4,11 @@ Finite integer domains (boxes, hypercubes, weight slices), finitely
 supported rational-valued functions on them, orthogonal content, tensor
 products, the Fourier transform on the hypercube, and symmetrization.
 Everything here is exact: values are `fractions.Fraction` and no
-operation rounds.
+operation rounds.  Table arithmetic (scaling, sums, pointwise and tensor
+products, totals and l1 norms) runs on integer numerators: each input
+table is cleared once to numerators over its least common denominator
+(`cleared`), the result is computed in integers, and exactly one
+Fraction is built per output value.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from typing import Iterable, Iterator, Mapping
 from .errors import PreconditionError
 
 Point = tuple[int, ...]
+
+_ZERO = Fraction(0)  # an FnTable's value at every absent point
 
 
 def as_rat(x) -> Fraction:
@@ -155,13 +161,29 @@ def cleared(values) -> tuple[list[int], int]:
 
 
 def add_scaled(acc: dict[Point, Fraction], c, entries: Mapping[Point, Fraction]) -> None:
-    """acc += c * entries, in place, dropping every point that cancels to zero."""
-    for p, v in entries.items():
-        w = acc.get(p, Fraction(0)) + c * v
-        if w == 0:
-            acc.pop(p, None)
+    """acc += c * entries, in place, dropping every point that cancels to zero.
+
+    c * entries is cleared once to integer numerators over one denominator
+    `den`; a touched point's sum a/b + v/den is the integer a*den + v*b over
+    b*den, and becomes one new Fraction."""
+    c = as_rat(c)
+    if not c:
+        return
+    nums, den = cleared(list(entries.values()))
+    cn, den = c.numerator, c.denominator * den
+    for p, v in zip(entries, nums):
+        if not v:
+            continue
+        w = acc.get(p)
+        if w is None:
+            acc[p] = Fraction(cn * v, den)
+            continue
+        b = w.denominator
+        v = w.numerator * den + cn * v * b
+        if v:
+            acc[p] = Fraction(v, b * den)
         else:
-            acc[p] = w
+            del acc[p]
 
 
 class FnTable:
@@ -193,7 +215,7 @@ class FnTable:
             self.entries = clean
 
     def __call__(self, p: Point) -> Fraction:
-        return self.entries.get(tuple(p), Fraction(0))
+        return self.entries.get(tuple(p), _ZERO)
 
     def __eq__(self, other) -> bool:
         return (
@@ -212,10 +234,12 @@ class FnTable:
         return not self.entries
 
     def l1(self) -> Fraction:
-        return sum((abs(v) for v in self.entries.values()), Fraction(0))
+        nums, den = cleared(list(self.entries.values()))
+        return Fraction(sum(map(abs, nums)), den)
 
     def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+        nums, den = cleared(list(self.entries.values()))
+        return Fraction(sum(nums), den)
 
     def is_nonnegative(self) -> bool:
         return all(v > 0 for v in self.entries.values())
@@ -227,7 +251,9 @@ class FnTable:
         a = as_rat(a)
         if a == 0:
             return FnTable(self.domain, {}, _trusted=True)
-        return FnTable(self.domain, {p: a * v for p, v in self.entries.items()},
+        nums, den = cleared(list(self.entries.values()))
+        an, den = a.numerator, a.denominator * den
+        return FnTable(self.domain, {p: Fraction(an * v, den) for p, v in zip(self.entries, nums)},
                        _trusted=True)
 
     def __neg__(self) -> "FnTable":
@@ -256,12 +282,12 @@ class FnTable:
         if self.domain.n != other.domain.n:
             raise PreconditionError("dimension mismatch")
         small, big = (self, other) if len(self.entries) <= len(other.entries) else (other, self)
-        out = {}
-        for p, v in small.entries.items():
-            w = big.entries.get(p)
-            if w is not None:
-                out[p] = v * w
-        return FnTable(self.domain, out, _trusted=True)
+        common = [p for p in small.entries if p in big.entries]
+        vs, vden = cleared([small.entries[p] for p in common])
+        ws, wden = cleared([big.entries[p] for p in common])
+        den = vden * wden
+        return FnTable(self.domain, {p: Fraction(v * w, den) for p, v, w in zip(common, vs, ws)},
+                       _trusted=True)
 
     def restrict_weight(self, lo: int | None = None, hi: int | None = None) -> "FnTable":
         """Keep only support points whose weight lies in [lo, hi]."""
@@ -394,14 +420,16 @@ def tensor(f: FnTable, g: FnTable) -> FnTable:
         glo, ghi = ga.weight_range()
         window = (flo + glo, fhi + ghi)
     dom = Domain(fa.bounds + ga.bounds, fa.offset + ga.offset, window)
-    out = {}
-    for p, v in f.entries.items():
-        for q, w in g.entries.items():
-            out[p + q] = v * w
+    fs, fden = cleared(list(f.entries.values()))
+    gs, gden = cleared(list(g.entries.values()))
+    den = fden * gden
+    right = list(zip(g.entries, gs))
+    out = {p + q: Fraction(v * w, den) for p, v in zip(f.entries, fs) for q, w in right}
     return FnTable(dom, out, _trusted=True)
 
 
 def tensor_power(f: FnTable, m: int) -> FnTable:
+    m = as_int(m)
     if m < 1:
         raise PreconditionError("tensor power needs m >= 1")
     out = f

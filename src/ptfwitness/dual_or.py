@@ -15,8 +15,10 @@ psi is computed in integers: the shift weights and omega's values are
 each cleared once to numerators over one denominator, every unnormalized
 psi(t) is an integer over their product, and the sign pattern, the l1
 total and the envelope constant c' are read from those integers by exact
-integer comparisons and cross-multiplication.  A Fraction is built only
-for each returned value.
+integer comparisons and cross-multiplication.  Each envelope bracket is
+two one-sided `pow2_bound` calls whose exponents t/sqrt(n) are passed as
+integer numerators over the denominator of the 1/sqrt(n) bracket.  A
+Fraction is built only for each returned value.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .brackets import inv_sqrt_brackets, pow2_brackets
+from .brackets import inv_sqrt_brackets, pow2_bound
 from .core import FnTable, as_int, as_rat, box, cleared, orth
 from .errors import ConstructionError, PreconditionError
 
@@ -219,14 +221,16 @@ def build_psi(n: int, N: int | None = None, eps=F(1, 3)) -> tuple[FnTable, PsiCe
         raise ConstructionError("psi lost the orthogonality of omega")
 
     # envelope constants, with per-t dyadic brackets for 2^(c'' t / sqrt(n)), c'' = 1:
+    # lo is the lower side of 2^(t inv_lo) and hi the upper side of 2^(t inv_hi),
+    # each exponent passed as an integer numerator over inv_*'s denominator;
     # c' = min_t min(a s lo, 1 / (a s hi)) for a = |raw[t]| / total, s = (t+1)^2,
     # kept as the integer pair (cn, cd) and compared by cross-multiplication
     inv_lo, inv_hi = inv_sqrt_brackets(n, 24)
     brackets: list[tuple[int, Fraction, Fraction]] = []
     cn, cd = 1, 0  # +infinity
     for t, v in enumerate(raw):
-        lo = pow2_brackets(t * inv_lo)[0]
-        hi = pow2_brackets(t * inv_hi)[1]
+        lo = pow2_bound(t * inv_lo.numerator, inv_lo.denominator, upper=False)
+        hi = pow2_bound(t * inv_hi.numerator, inv_hi.denominator, upper=True)
         brackets.append((t, lo, hi))
         a, s = abs(v), (t + 1) ** 2
         for xn, xd in ((a * s * lo.numerator, total * lo.denominator),

@@ -6,7 +6,10 @@ a shared dictionary of univariate tables.  Witness constructions combine a
 handful of one-dimensional objects into high-dimensional products; keeping
 the factorization explicit avoids dense blow-up and preserves the convex
 structure that the downstream machinery needs (each term is a product of
-named distributions, translates included).
+named distributions, translates included).  `densify` expands a mixture
+in integers: each factor is cleared once to numerators over its least
+common denominator, every term's products accumulate as integers over
+the lcm of the term denominators, and one Fraction is built per point.
 
 Families:
   bounded(r, c, alpha)        pointwise envelope c^(t+1)/((t+1)^2 2^(alpha t))
@@ -21,9 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .brackets import Bracket, pow2_brackets
-from .core import Domain, FnTable, as_rat, merge_domains, smoothness_constant
+from .core import Domain, FnTable, as_rat, cleared, merge_domains, smoothness_constant
 from .errors import PreconditionError
 
 F = Fraction
@@ -105,22 +109,32 @@ class ProductMixture:
         if dom.size() > DENSIFY_LIMIT:
             raise PreconditionError(
                 f"dense table would have {dom.size()} points (limit {DENSIFY_LIMIT})")
-        out: dict[tuple[int, ...], Fraction] = {}
+        # each factor once as (point, numerator) pairs over its denominator
+        cleared_factors: dict[str, tuple[list, int]] = {}
+        for _, labs in self.terms:
+            for lab in labs:
+                if lab not in cleared_factors:
+                    entries = self.factors[lab].entries
+                    nums, den = cleared(list(entries.values()))
+                    cleared_factors[lab] = list(zip(entries, nums)), den
+        # term k is the integer product over den_k = c.den * prod factor dens
+        terms = []
         for c, labs in self.terms:
-            if c == 0:
-                continue
-            supports = [list(self.factors[lab].entries.items()) for lab in labs]
-            for combo in itertools.product(*supports):
-                pt = tuple(x for blk, _ in combo for x in blk)
-                val = c
-                for _, v in combo:
-                    val *= v
-                prev = out.get(pt, F(0)) + val
-                if prev == 0:
-                    out.pop(pt, None)
-                else:
-                    out[pt] = prev
-        return FnTable(dom, out, _trusted=True)
+            if c != 0:
+                den = c.denominator
+                for lab in labs:
+                    den *= cleared_factors[lab][1]
+                terms.append((c.numerator, den, labs))
+        big = lcm(*[den for _, den, _ in terms])
+        acc: dict[tuple[int, ...], int] = {}
+        for cn, den, labs in terms:
+            partial = [((), cn * (big // den))]
+            for lab in labs:
+                items = cleared_factors[lab][0]
+                partial = [(pt + blk, val * v) for pt, val in partial for blk, v in items]
+            for pt, val in partial:
+                acc[pt] = acc.get(pt, 0) + val
+        return FnTable(dom, {pt: F(v, big) for pt, v in acc.items() if v}, _trusted=True)
 
     def l1_if_disjoint(self) -> Fraction:
         """l1 norm assuming the term supports are pairwise disjoint and every

@@ -24,8 +24,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .brackets import e_brackets, one_plus_ln_brackets, pow2_brackets
-from .core import Domain, FnTable, add_scaled, as_rat, orth, smoothness_constant, tighten_domain
+from .brackets import e_brackets, one_plus_ln_brackets, pow2_bound
+from .core import (
+    Domain,
+    FnTable,
+    add_scaled,
+    as_rat,
+    cleared,
+    orth,
+    smoothness_constant,
+    tighten_domain,
+)
 from .corrector import build_zeta_u, build_zeta_uv
 from .errors import ConstructionError, PreconditionError
 from .mixtures import FamilySpec, ProductMixture
@@ -56,40 +65,42 @@ def select_heavy_set(v, theta) -> HeavySet:
     area guarantees.  Ties are broken by coordinate index so the output is
     reproducible.
     """
-    v = [as_rat(x) for x in v]
+    nums, den = cleared([as_rat(x) for x in v])
     theta = as_rat(theta)
-    n = len(v)
-    total = sum(abs(x) for x in v)
-    if not (total >= theta > 0):
+    n = len(nums)
+    # every mass below is an integer over den: m >= theta is m tq >= tp den
+    tp, tq = theta.numerator, theta.denominator
+    mags = [abs(x) for x in nums]
+    total = sum(mags)
+    if not (total * tq >= tp * den and theta > 0):
         raise PreconditionError("need ||v||_1 >= theta > 0")
     _, log_hi = one_plus_ln_brackets(n)
-    order = sorted(range(n), key=lambda i: (-abs(v[i]), i))
-    mags = [abs(v[i]) for i in order]
+    lp, lq = log_hi.numerator, log_hi.denominator
+    order = sorted(range(n), key=lambda i: (-mags[i], i))
+    mags = [mags[i] for i in order]
 
     def grow(start: int) -> int:
         """Smallest prefix length k > start of the remaining suffix order
-        meeting both regularity conditions for the remaining vector."""
+        meeting both regularity conditions for the remaining vector:
+        k >= rem_total / (2 rem_inf) and k rem[k-1] 2 log_hi >= rem_total."""
         rem = mags[start:]
         rem_total = sum(rem)
-        rem_inf = rem[0] if rem else F(0)
+        rem_inf = rem[0] if rem else 0
         if rem_inf == 0:
             raise ConstructionError("cannot grow a heavy set over zeros")
-        need_size = rem_total / (2 * rem_inf)
         for k in range(1, len(rem) + 1):
-            if k >= need_size and k * rem[k - 1] * (2 * log_hi) >= rem_total:
+            if 2 * k * rem_inf >= rem_total and k * rem[k - 1] * 2 * lp >= rem_total * lq:
                 return start + k
         raise ConstructionError("no regular prefix found; bracket too loose")
 
     chosen = grow(0)  # prefix length of `order` selected so far
-    while sum(mags[chosen:]) >= theta:
+    while sum(mags[chosen:]) * tq >= tp * den:
         chosen = grow(chosen)
 
     S = frozenset(order[:chosen])
-    vinf = max(abs(x) for x in v)
-    large_ok = len(S) * 2 * vinf >= total
-    min_s = min(abs(v[i]) for i in S)
-    area_ok = min_s * len(S) * 2 * log_hi >= theta
-    outside_ok = sum(abs(v[i]) for i in range(n) if i not in S) < theta
+    large_ok = len(S) * 2 * mags[0] >= total
+    area_ok = mags[chosen - 1] * len(S) * 2 * lp * tq >= tp * den * lq
+    outside_ok = sum(mags[chosen:]) * tq < tp * den
     hs = HeavySet(indices=S, theta=theta, large_ok=large_ok, area_ok=area_ok,
                   outside_ok=outside_ok, log_bracket_hi=log_hi)
     if not (large_ok and area_ok and outside_ok):
@@ -170,7 +181,19 @@ def build_Zu(lam: FnTable, u: Point, d: int, theta: int) -> tuple[FnTable, ZuCer
     K = smoothness_constant(lam, weight_cap=theta)
     if K is None:
         raise PreconditionError("distribution vanishes inside the region")
+    return _anchored_zeroizer(lam, u, d, theta, K, _diam(lam.entries))
 
+
+def _anchored_zeroizer(lam: FnTable, u: Point, d: int, theta: int, K: Fraction,
+                       lam_diam: int) -> tuple[FnTable, ZuCertificate]:
+    """build_Zu once its checks on lam have passed: lam is a distribution on
+    the weight cap of a zero-based box, K its smoothness constant there and
+    lam_diam the l1 diameter of its support, so callers that anchor many
+    zeroizers at one lam compute both once.  The diameter with the anchor
+    added is one more pass over the support."""
+    dom = lam.domain
+    if not dom.contains(u):
+        raise PreconditionError("anchor outside the box")
     ball = set(_ball_points(dom, u, d))
     targets = [p for p in dom.points() if sum(p) <= theta - d and p not in ball]
     mass = sum((lam(p) for p in targets if lam(p)), F(0))
@@ -185,7 +208,7 @@ def build_Zu(lam: FnTable, u: Point, d: int, theta: int) -> tuple[FnTable, ZuCer
         add_scaled(acc, w, zeta.entries)
     zu = FnTable(dom, {p: v / mass for p, v in acc.items()})
 
-    diam = _diam(set(lam.entries) | {u})
+    diam = max(lam_diam, max(sum(abs(a - b) for a, b in zip(p, u)) for p in lam.entries))
     support_ok = all(sum(p) <= theta or p == u for p in zu.entries)
     at_u = zu(u)
     orth_ok = orth(zu, cap=d) is None
@@ -236,9 +259,10 @@ def zero_out_heavy(phi: FnTable, d: int, theta: int) -> tuple[FnTable, ZeroOutCe
                                   distance_factor_bound=F(0))
         return phi, cert
     lam, low_l1, K = _cap_profile(low, theta)
+    lam_diam = _diam(lam.entries)
     acc: dict[Point, Fraction] = dict(phi.entries)
     for u, val in sorted(heavy.items()):
-        zu, _ = build_Zu(lam, u, d, theta)
+        zu, _ = _anchored_zeroizer(lam, u, d, theta, K, lam_diam)
         add_scaled(acc, -val, zu.entries)
     phi_t = FnTable(dom, acc, _trusted=True)
     support_ok = all(sum(p) <= theta for p in phi_t.entries)
@@ -387,11 +411,12 @@ def redistribute(phi: FnTable, lam_star: FnTable, d: int, theta: int
     if not lam_star.is_distribution() or any(sum(p) > theta for p in lam_star.entries):
         raise PreconditionError("target must be a distribution on the cap region")
     lam, l1, K = _cap_profile(phi, theta)
-    N = _zeroizer_bound(K, dom.n, d, _diam(phi.entries))
+    diam = _diam(phi.entries)  # lam has phi's support
+    N = _zeroizer_bound(K, dom.n, d, diam)
     acc: dict[Point, Fraction] = dict(phi.entries)
     for u in sorted(lam_star.entries):
         w = lam_star(u)
-        zu, _ = build_Zu(lam, u, d, theta)
+        zu, _ = _anchored_zeroizer(lam, u, d, theta, K, diam)
         sgn = 1 if phi(u) >= 0 else -1
         add_scaled(acc, l1 / N * sgn * w, zu.entries)
     phi_star = FnTable(dom, acc, _trusted=True)
@@ -496,8 +521,9 @@ def weight_reduce(mix: ProductMixture, d: int, theta: int,
             if sum(p) < 2 * theta and zeta_t(p):
                 statistical_factor = max(statistical_factor, abs(zeta_t(p)) / v)
         r, c, alpha = family.r, family.c, family.alpha or F(0)
-        exponent = -(-theta // r) + alpha * -(-theta // 2) - 2
-        bound_lower = F(8 * n * r, 1) ** d / c ** d / pow2_brackets(exponent)[1]
+        exponent = as_rat(-(-theta // r) + alpha * -(-theta // 2) - 2)
+        pow2_hi = pow2_bound(exponent.numerator, exponent.denominator, upper=True)
+        bound_lower = F(8 * n * r, 1) ** d / c ** d / pow2_hi
     cert = WeightReduceCertificate(
         d=d, theta=theta, support_ok=support_ok, orth_ok=orth_ok,
         statistical_factor=statistical_factor,

@@ -1,17 +1,33 @@
 """Exact references that the tests compare the library against, kept here
 because no library code calls them: the concentration and cap/ball mass
-comparisons applied to concrete tables, the plain inner product, and the
-pointwise value of a product mixture."""
+comparisons applied to concrete tables, the plain inner product, the
+pointwise value of a product mixture, and the code that the integer table
+arithmetic replaced.
 
+The last group is the earlier library code, kept verbatim as free
+functions: FnTable's scale, hadamard, total and l1, add_scaled, tensor
+and ProductMixture.densify, each one Fraction operation at a time;
+pow2_brackets with both sides in one integer digit loop; and
+select_heavy_set on Fraction magnitudes."""
+
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Mapping
 
-from ptfwitness.brackets import e_brackets, one_plus_ln_brackets, sqrt_lower
-from ptfwitness.core import FnTable, as_int, as_rat, smoothness_constant
-from ptfwitness.errors import PreconditionError
-from ptfwitness.mixtures import ProductMixture
-from ptfwitness.smooth_ops import _ball_points
+from ptfwitness.brackets import (
+    POW2_BITS,
+    Bracket,
+    _root_chain,
+    e_brackets,
+    one_plus_ln_brackets,
+    sqrt_lower,
+)
+from ptfwitness.core import Domain, FnTable, Point, as_int, as_rat, smoothness_constant
+from ptfwitness.errors import ConstructionError, PreconditionError
+from ptfwitness.mixtures import DENSIFY_LIMIT, ProductMixture
+from ptfwitness.smooth_ops import HeavySet, _ball_points
 
 F = Fraction
 
@@ -142,3 +158,176 @@ def verify_cap_ball(lam: FnTable, theta: int, d: int, K=None) -> CapBallReport:
     return CapBallReport(theta=theta, d=d, K=K, smooth_ok=smooth_ok,
                          cap_ok=cap_ok, ball_ok=ball_ok,
                          checked_anchors=dom.size())
+
+
+# ------------------------------------------- Fraction-at-a-time table arithmetic
+
+
+def fraction_add_scaled(acc: dict[Point, Fraction], c, entries: Mapping[Point, Fraction]) -> None:
+    """acc += c * entries, in place, dropping every point that cancels to zero."""
+    for p, v in entries.items():
+        w = acc.get(p, Fraction(0)) + c * v
+        if w == 0:
+            acc.pop(p, None)
+        else:
+            acc[p] = w
+
+
+def fraction_l1(self: FnTable) -> Fraction:
+    return sum((abs(v) for v in self.entries.values()), Fraction(0))
+
+
+def fraction_total(self: FnTable) -> Fraction:
+    return sum(self.entries.values(), Fraction(0))
+
+
+def fraction_scale(self: FnTable, a) -> FnTable:
+    a = as_rat(a)
+    if a == 0:
+        return FnTable(self.domain, {}, _trusted=True)
+    return FnTable(self.domain, {p: a * v for p, v in self.entries.items()},
+                   _trusted=True)
+
+
+def fraction_hadamard(self: FnTable, other: FnTable) -> FnTable:
+    """Pointwise product over the common support."""
+    if self.domain.n != other.domain.n:
+        raise PreconditionError("dimension mismatch")
+    small, big = (self, other) if len(self.entries) <= len(other.entries) else (other, self)
+    out = {}
+    for p, v in small.entries.items():
+        w = big.entries.get(p)
+        if w is not None:
+            out[p] = v * w
+    return FnTable(self.domain, out, _trusted=True)
+
+
+def fraction_tensor(f: FnTable, g: FnTable) -> FnTable:
+    """(f (x) g)(x, y) = f(x) g(y) on the product domain."""
+    fa, ga = f.domain, g.domain
+    window = None
+    if fa.window is not None or ga.window is not None:
+        flo, fhi = fa.weight_range()
+        glo, ghi = ga.weight_range()
+        window = (flo + glo, fhi + ghi)
+    dom = Domain(fa.bounds + ga.bounds, fa.offset + ga.offset, window)
+    out = {}
+    for p, v in f.entries.items():
+        for q, w in g.entries.items():
+            out[p + q] = v * w
+    return FnTable(dom, out, _trusted=True)
+
+
+def fraction_densify(self: ProductMixture) -> FnTable:
+    dom = self.ambient_domain()
+    if dom.size() > DENSIFY_LIMIT:
+        raise PreconditionError(
+            f"dense table would have {dom.size()} points (limit {DENSIFY_LIMIT})")
+    out: dict[tuple[int, ...], Fraction] = {}
+    for c, labs in self.terms:
+        if c == 0:
+            continue
+        supports = [list(self.factors[lab].entries.items()) for lab in labs]
+        for combo in itertools.product(*supports):
+            pt = tuple(x for blk, _ in combo for x in blk)
+            val = c
+            for _, v in combo:
+                val *= v
+            prev = out.get(pt, F(0)) + val
+            if prev == 0:
+                out.pop(pt, None)
+            else:
+                out[pt] = prev
+    return FnTable(dom, out, _trusted=True)
+
+
+# ------------------------------------------------ two-sided power-of-two loop
+
+
+def two_sided_pow2_brackets(exponent) -> Bracket:
+    """Enclose 2**exponent for any rational exponent.
+
+    Works digit by digit on the binary expansion of the fractional part f/q
+    (read in integers: double f, subtract q once it reaches q), multiplying
+    in directed-rounded dyadic square roots of 2 (`_root_chain`).  The
+    chain and the two accumulated products are integer numerators over the
+    fixed denominator 2^work, and a rounded product is (a * b) >> work,
+    floor or ceiling.  Fractions are built only for the returned pair, so
+    arbitrary exponent denominators stay cheap.
+    """
+    e = as_rat(exponent)
+    if e < 0:
+        lo, hi = two_sided_pow2_brackets(-e)
+        return 1 / hi, 1 / lo
+    q = e.denominator
+    k, f = divmod(e.numerator, q)
+    if f == 0:
+        base = Fraction(1 << k)
+        return base, base
+    work = 2 * POW2_BITS + 8
+    one = 1 << work
+    lo_acc, hi_acc = one, one  # numerators over 2^work
+    for r_lo, r_hi in _root_chain():
+        f *= 2
+        if f >= q:
+            f -= q
+            lo_acc = (lo_acc * r_lo) >> work
+            hi_acc = -((-hi_acc * r_hi) >> work)
+        if f == 0:
+            break
+    if f != 0:
+        # unresolved tail exponent is below 2^-POW2_BITS; absorb one more factor
+        hi_acc = -((-hi_acc * r_hi) >> work)
+    return Fraction(lo_acc << k, one), Fraction(hi_acc << k, one)
+
+
+# ------------------------------------------------- heavy sets on Fractions
+
+
+def fraction_select_heavy_set(v, theta) -> HeavySet:
+    """A deterministic set of dominant coordinates.
+
+    Grows prefixes of the magnitude-sorted coordinate order until the
+    off-set mass drops below theta; each grown prefix keeps the size and
+    area guarantees.  Ties are broken by coordinate index so the output is
+    reproducible.
+    """
+    v = [as_rat(x) for x in v]
+    theta = as_rat(theta)
+    n = len(v)
+    total = sum(abs(x) for x in v)
+    if not (total >= theta > 0):
+        raise PreconditionError("need ||v||_1 >= theta > 0")
+    _, log_hi = one_plus_ln_brackets(n)
+    order = sorted(range(n), key=lambda i: (-abs(v[i]), i))
+    mags = [abs(v[i]) for i in order]
+
+    def grow(start: int) -> int:
+        """Smallest prefix length k > start of the remaining suffix order
+        meeting both regularity conditions for the remaining vector."""
+        rem = mags[start:]
+        rem_total = sum(rem)
+        rem_inf = rem[0] if rem else F(0)
+        if rem_inf == 0:
+            raise ConstructionError("cannot grow a heavy set over zeros")
+        need_size = rem_total / (2 * rem_inf)
+        for k in range(1, len(rem) + 1):
+            if k >= need_size and k * rem[k - 1] * (2 * log_hi) >= rem_total:
+                return start + k
+        raise ConstructionError("no regular prefix found; bracket too loose")
+
+    chosen = grow(0)  # prefix length of `order` selected so far
+    while sum(mags[chosen:]) >= theta:
+        chosen = grow(chosen)
+
+    S = frozenset(order[:chosen])
+    vinf = max(abs(x) for x in v)
+    large_ok = len(S) * 2 * vinf >= total
+    min_s = min(abs(v[i]) for i in S)
+    area_ok = min_s * len(S) * 2 * log_hi >= theta
+    outside_ok = sum(abs(v[i]) for i in range(n) if i not in S) < theta
+    hs = HeavySet(indices=S, theta=theta, large_ok=large_ok, area_ok=area_ok,
+                  outside_ok=outside_ok, log_bracket_hi=log_hi)
+    if not (large_ok and area_ok and outside_ok):
+        raise ConstructionError(f"heavy set failed its certificate: {hs}")
+    return hs

@@ -1,0 +1,245 @@
+"""The integer table arithmetic of ptfwitness.core, ProductMixture.densify,
+brackets.pow2_bound and smooth_ops.select_heavy_set against the code they
+replaced (tests/exact_references.py), which did one Fraction operation at
+a time.
+
+Every kernel must return the same values on the same support.  The
+strategies mix denominators, draw negative values and coefficients,
+empty tables and terms that cancel, so that points summing to zero must
+be dropped.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from exact_references import (
+    fraction_add_scaled,
+    fraction_densify,
+    fraction_hadamard,
+    fraction_l1,
+    fraction_scale,
+    fraction_select_heavy_set,
+    fraction_tensor,
+    fraction_total,
+    two_sided_pow2_brackets,
+)
+from ptfwitness.brackets import pow2_bound, pow2_brackets
+from ptfwitness.core import Domain, FnTable, add_scaled, tensor, tensor_power
+from ptfwitness.errors import PreconditionError
+from ptfwitness.mixtures import ProductMixture
+from ptfwitness.smooth_ops import select_heavy_set
+
+F = Fraction
+
+# denominators that share factors and denominators that do not
+rationals = st.builds(F, st.integers(-40, 40),
+                      st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12, 35, 64, 10**6 + 3]))
+nonzero = rationals.filter(bool)
+
+
+@st.composite
+def tables(draw, n=None):
+    """A table on a small box (offsets and weight windows included) with
+    random rational values on a random subset of its points, possibly
+    none."""
+    n = draw(st.integers(1, 3)) if n is None else n
+    bounds = tuple(draw(st.integers(0, 2)) for _ in range(n))
+    offset = tuple(draw(st.integers(0, 1)) for _ in range(n))
+    window = None
+    if draw(st.booleans()):
+        lo = sum(offset) + draw(st.integers(0, sum(bounds)))
+        window = (lo, lo + draw(st.integers(0, 2)))
+    dom = Domain(bounds, offset, window)
+    return FnTable(dom, {p: draw(rationals) for p in dom.points() if draw(st.booleans())})
+
+
+def same_table(got: FnTable, want: FnTable) -> None:
+    assert got.domain == want.domain
+    assert got.entries == want.entries
+    assert all(type(v) is Fraction and v != 0 for v in got.entries.values())
+
+
+@st.composite
+def accumulations(draw):
+    """(acc, c, entries) where some points of c * entries cancel acc."""
+    f = draw(tables())
+    acc = dict(f.entries)
+    c = draw(rationals)
+    entries = {}
+    for p in f.domain.points():
+        if p in acc and c and draw(st.booleans()):
+            entries[p] = -acc[p] / c  # cancels exactly
+        elif draw(st.booleans()):
+            entries[p] = draw(nonzero)
+    return acc, c, entries
+
+
+@given(accumulations())
+@settings(max_examples=300, deadline=None)
+def test_add_scaled_matches_fraction_reference(case):
+    acc, c, entries = case
+    got, want = dict(acc), dict(acc)
+    add_scaled(got, c, entries)
+    fraction_add_scaled(want, c, entries)
+    assert got == want
+    assert all(type(v) is Fraction and v != 0 for v in got.values())
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(tables(n), tables(n))))
+@settings(max_examples=300, deadline=None)
+def test_sum_and_difference_match_fraction_reference(pair):
+    f, g = pair
+    for sign, got in ((1, f + g), (-1, f - g)):
+        want = dict(f.entries)
+        fraction_add_scaled(want, sign, g.entries)
+        assert got.entries == want
+        assert all(type(v) is Fraction for v in got.entries.values())
+    # f - f cancels every point
+    assert (f - f).entries == {}
+
+
+@given(tables(), rationals)
+@settings(max_examples=300, deadline=None)
+def test_scale_total_l1_match_fraction_reference(f, a):
+    same_table(f.scale(a), fraction_scale(f, a))
+    assert f.total() == fraction_total(f) and type(f.total()) is Fraction
+    assert f.l1() == fraction_l1(f) and type(f.l1()) is Fraction
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(tables(n), tables(n))))
+@settings(max_examples=300, deadline=None)
+def test_hadamard_matches_fraction_reference(pair):
+    f, g = pair
+    same_table(f.hadamard(g), fraction_hadamard(f, g))
+    same_table(g.hadamard(f), fraction_hadamard(g, f))
+
+
+@given(tables(), tables())
+@settings(max_examples=300, deadline=None)
+def test_tensor_matches_fraction_reference(f, g):
+    same_table(tensor(f, g), fraction_tensor(f, g))
+
+
+@given(tables(), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_tensor_power_matches_fraction_reference(f, m):
+    want = f
+    for _ in range(m - 1):
+        want = fraction_tensor(want, f)
+    same_table(tensor_power(f, m), want)
+
+
+@st.composite
+def mixtures(draw):
+    """Mixtures of one to three positions over up to four univariate or
+    bivariate factors, with negative and zero coefficients, repeated label
+    tuples, and terms whose coefficients cancel."""
+    width = draw(st.integers(1, 3))
+    factors = {}
+    for k in range(draw(st.integers(1, 4))):
+        f = draw(tables(draw(st.integers(1, 2))))
+        factors[f"f{k}"] = f
+    # every position holds factors of one dimension
+    dims = {}
+    for lab, f in factors.items():
+        dims.setdefault(f.domain.n, []).append(lab)
+    pos_labels = [dims[draw(st.sampled_from(sorted(dims)))] for _ in range(width)]
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        labs = tuple(draw(st.sampled_from(ls)) for ls in pos_labels)
+        c = draw(rationals)
+        terms.append((c, labs))
+        if draw(st.integers(0, 3)) == 0:
+            terms.append((-c, labs))
+    return ProductMixture(factors, terms)
+
+
+@given(mixtures())
+@settings(max_examples=300, deadline=None)
+def test_densify_matches_fraction_reference(mix):
+    same_table(mix.densify(), fraction_densify(mix))
+
+
+def test_densify_drops_points_that_cancel():
+    f = FnTable(Domain((2,)), {(0,): F(1, 3), (1,): F(-2, 5), (2,): F(7)})
+    g = FnTable(Domain((2,)), {(0,): F(1, 3), (2,): F(1, 2)})
+    mix = ProductMixture({"f": f, "g": g}, [(F(3, 2), ("f",)), (F(-3, 2), ("g",))])
+    dense = mix.densify()
+    assert (0,) not in dense.entries
+    same_table(dense, fraction_densify(mix))
+
+
+# ------------------------------------------------------------ pow2 sides
+
+
+def exponent(whole, den, rest):
+    """(num, den) for the exponent whole + (rest mod den) / den."""
+    return whole * den + rest % den, den
+
+
+# |exponent| <= 201, so 2**exponent stays small
+exponent_pairs = st.one_of(
+    st.builds(exponent, st.integers(-200, 200), st.integers(1, 10**6), st.integers(0, 10**6)),
+    st.builds(exponent, st.integers(-200, 200), st.integers(1, 10**30), st.integers(0, 10**30)),
+    # integer exponents, as n/1 and as unreduced n*d/d
+    st.builds(exponent, st.integers(-64, 64), st.integers(1, 12), st.just(0)),
+    st.builds(exponent, st.integers(-64, 64), st.sampled_from([2, 4, 8, 1 << 20, 1 << 40]),
+              st.integers(0, 1 << 40)),
+)
+
+
+@given(exponent_pairs)
+@settings(max_examples=500, deadline=None)
+def test_pow2_bound_matches_two_sided_reference(pair):
+    num, den = pair
+    lo, hi = two_sided_pow2_brackets(F(num, den))
+    assert pow2_bound(num, den, upper=False) == lo
+    assert pow2_bound(num, den, upper=True) == hi
+    assert pow2_brackets(F(num, den)) == (lo, hi)
+    # an unreduced pair reads the same exponent
+    assert pow2_bound(3 * num, 3 * den, upper=True) == hi
+
+
+def test_pow2_bound_rejects_bad_input():
+    for call in (lambda: pow2_bound(1, 0, upper=True), lambda: pow2_bound(1, -2, upper=False),
+                 lambda: pow2_bound(0.5, 1, upper=True), lambda: pow2_bound(1, 2.0, upper=False),
+                 lambda: pow2_bound(True, 1, upper=False)):
+        with pytest.raises(PreconditionError):
+            call()
+
+
+# ------------------------------------------------------------- heavy sets
+
+
+def outcome(fn, *args):
+    try:
+        return ("returned", fn(*args))
+    except Exception as exc:  # the type and message are part of the outcome
+        return ("raised", type(exc).__name__, str(exc))
+
+
+@given(st.lists(st.one_of(st.integers(-9, 9), rationals), max_size=12),
+       st.one_of(st.integers(-2, 30), rationals))
+@settings(max_examples=500, deadline=None)
+def test_select_heavy_set_matches_fraction_reference(v, theta):
+    assert outcome(select_heavy_set, v, theta) == outcome(fraction_select_heavy_set, v, theta)
+
+
+# ------------------------------------------------------- exact-input gates
+
+
+def test_add_scaled_rejects_float_coefficient():
+    t = FnTable(Domain((1,)), {(0,): F(3, 2)})
+    acc = {}
+    with pytest.raises(PreconditionError, match="not an exact rational"):
+        add_scaled(acc, 0.5, t.entries)
+    assert acc == {}
+
+
+def test_tensor_power_rejects_non_integer_m():
+    t = FnTable(Domain((1,)), {(0,): F(1)})
+    for m in (2.0, True):
+        with pytest.raises(PreconditionError, match="not an integer"):
+            tensor_power(t, m)
