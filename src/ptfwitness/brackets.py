@@ -113,7 +113,15 @@ def ln_brackets_rational(x: Fraction) -> Bracket:
 
 
 def one_plus_ln_brackets(n: int) -> Bracket:
-    lo, hi = ln_brackets_rational(n)
+    """Enclose 1 + ln(n) for a positive rational n, computed once per n.
+    The exact-input gate runs before the cache, so 3.0 or True raises even
+    when the bracket of 3 or 1 is cached."""
+    return _one_plus_ln(as_rat(n))
+
+
+@cache
+def _one_plus_ln(x: Fraction) -> Bracket:
+    lo, hi = ln_brackets_rational(x)
     return 1 + lo, 1 + hi
 
 
@@ -126,8 +134,10 @@ def log2_brackets(x: Fraction) -> Bracket:
     return lo, hi
 
 
+@cache
 def e_brackets() -> Bracket:
-    """Enclose Euler's number by the factorial series with its tail bound."""
+    """Enclose Euler's number by the factorial series with its tail bound,
+    computed once on first use."""
     acc = Fraction(0)
     fact = 1
     for k in range(E_TERMS + 1):

@@ -7,10 +7,15 @@ arithmetic replaced.
 The last group is the earlier library code, kept verbatim as free
 functions: FnTable's scale, hadamard, total and l1, add_scaled, tensor
 and ProductMixture.densify, each one Fraction operation at a time;
-pow2_brackets with both sides in one integer digit loop; and
-select_heavy_set on Fraction magnitudes."""
+pow2_brackets with both sides in one integer digit loop;
+select_heavy_set on Fraction magnitudes; and serialize's two-step
+writer, which copied each object into a tree of dicts, lists and "p/q"
+strings (`to_jsonable`) and passed that tree to `json.dumps` with sorted
+keys (`tree_dumps`)."""
 
+import dataclasses
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -24,9 +29,11 @@ from ptfwitness.brackets import (
     one_plus_ln_brackets,
     sqrt_lower,
 )
+from ptfwitness.circuits import CircuitDesc
 from ptfwitness.core import Domain, FnTable, Point, as_int, as_rat, smoothness_constant
 from ptfwitness.errors import ConstructionError, PreconditionError
 from ptfwitness.mixtures import DENSIFY_LIMIT, ProductMixture
+from ptfwitness.serialize import SCHEMA_VERSION, frac_str
 from ptfwitness.smooth_ops import HeavySet, _ball_points
 
 F = Fraction
@@ -331,3 +338,73 @@ def fraction_select_heavy_set(v, theta) -> HeavySet:
     if not (large_ok and area_ok and outside_ok):
         raise ConstructionError(f"heavy set failed its certificate: {hs}")
     return hs
+
+
+# ------------------------------------------------ two-step JSON writer
+
+
+def to_jsonable(obj):
+    """Recursive encoder: fractions to "p/q", tuples to lists, dataclasses
+    to tagged dicts, tables and domains to their schemas.  A float, like any
+    other unknown type, raises PreconditionError."""
+    if isinstance(obj, Fraction):
+        return frac_str(obj)
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, Domain):
+        return domain_to_json(obj)
+    if isinstance(obj, FnTable):
+        return table_to_json(obj)
+    if isinstance(obj, ProductMixture):
+        return mixture_to_json(obj)
+    if isinstance(obj, CircuitDesc):
+        return circuit_to_json(obj)
+    if isinstance(obj, (frozenset, set)):
+        return sorted(to_jsonable(x) for x in obj)
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            if isinstance(k, tuple):
+                k = ",".join(map(str, k))
+            elif isinstance(k, frozenset):
+                k = ",".join(map(str, sorted(k)))
+            out[str(k)] = to_jsonable(v)
+        return out
+    if dataclasses.is_dataclass(obj):
+        body = {f.name: to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+        body["_type"] = type(obj).__name__
+        return body
+    raise PreconditionError(f"cannot serialize {type(obj).__name__}")
+
+
+def tree_dumps(obj, **kw) -> str:
+    return json.dumps(to_jsonable(obj), sort_keys=True, **kw)
+
+
+def domain_to_json(d: Domain) -> dict:
+    out = {"bounds": list(d.bounds), "offset": list(d.offset)}
+    if d.window is not None:
+        out["window"] = list(d.window)
+    return out
+
+
+def table_to_json(t: FnTable) -> dict:
+    entries = [[list(p), frac_str(v)] for p, v in sorted(t.entries.items())]
+    return {"schema": f"fntable/{SCHEMA_VERSION}",
+            "domain": domain_to_json(t.domain), "entries": entries}
+
+
+def mixture_to_json(m: ProductMixture) -> dict:
+    return {"schema": f"mixture/{SCHEMA_VERSION}",
+            "factors": {lab: table_to_json(t) for lab, t in sorted(m.factors.items())},
+            "terms": [[frac_str(c), list(labels)] for c, labels in m.terms]}
+
+
+def circuit_to_json(c: CircuitDesc) -> dict:
+    return {"schema": f"circuit/{SCHEMA_VERSION}",
+            "n_inputs": c.n_inputs,
+            "gates": [[g.op, [list(r) for r in g.children]] for g in c.gates],
+            "output": list(c.output)}

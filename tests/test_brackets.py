@@ -9,6 +9,7 @@ from ptfwitness.brackets import (
     inv_sqrt_brackets,
     ln_brackets_rational,
     log2_brackets,
+    one_plus_ln_brackets,
     pow2_brackets,
     sqrt_brackets,
     sqrt_lower,
@@ -76,6 +77,19 @@ def test_floats_rejected():
     for call in calls:
         with pytest.raises(PreconditionError):
             call()
+
+
+def test_cached_brackets_keep_the_exact_input_gate():
+    # 3.0 == 3 and True == 1 hash alike, so a gate behind the cache would
+    # hand them the cached brackets of 3 and 1
+    three, one = one_plus_ln_brackets(3), one_plus_ln_brackets(1)
+    assert one == (1, 1)
+    assert float(three[0]) - 1e-12 <= 1 + math.log(3) <= float(three[1]) + 1e-12
+    for bad in (3.0, True):
+        with pytest.raises(PreconditionError):
+            one_plus_ln_brackets(bad)
+    assert one_plus_ln_brackets(F(3)) is three
+    assert e_brackets() is e_brackets()
 
 
 def test_ints_and_fractions_accepted():

@@ -38,7 +38,8 @@ def test_rationals_never_floats():
 
 
 def mixture_from_json(data):
-    """Test-side reference: the inverse of serialize.mixture_to_json."""
+    """Test-side reference: the inverse of the mixture/1 schema that
+    serialize.dumps writes."""
     factors = {lab: table_from_json(t) for lab, t in data["factors"].items()}
     terms = [(parse_frac(c), tuple(labels)) for c, labels in data["terms"]]
     return ProductMixture(factors, terms)
@@ -118,6 +119,50 @@ def test_cli_verify_fails_unchecked_certificate(tmp_path, capsys):
     assert main(["verify", str(out / "psi.cert.json")]) == 1
     assert capsys.readouterr().err.strip() == \
         "FAIL no re-check for certificate type PsiCertificate"
+
+
+def _table_artifact(tmp_path, edit):
+    data = json.loads(dumps(FnTable(box([2]), {(0,): F(1, 2), (2,): F(-1, 2)})))
+    edit(data)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _set_value(v):
+    def edit(d):
+        d["entries"][0][1] = v
+    return edit
+
+
+def test_cli_verify_reads_decimal_strings_exactly(tmp_path, capsys):
+    assert parse_frac("0.5") == parse_frac("1/2") == F(1, 2)
+    assert main(["verify", _table_artifact(tmp_path, _set_value("0.5"))]) == 0
+    assert "l1 = 1/1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", [
+    _set_value(0.1),                                        # a JSON number
+    _set_value("abc"),
+    _set_value("1/0"),
+    lambda d: d["entries"].append([[0], "1/3"]),            # a repeated point
+    lambda d: d["domain"].update(bounds=[2.5]),
+    lambda d: d["domain"].update(offset=[0.0]),
+    lambda d: d["domain"].update(window=[0, 2.5]),
+    lambda d: d["entries"][0].__setitem__(0, [0.0]),        # a float coordinate
+], ids=["number", "abc", "zero-denominator", "repeated-point", "float-bound",
+        "float-offset", "float-window", "float-coordinate"])
+def test_cli_verify_rejects_inexact_tables(tmp_path, capsys, edit):
+    code = main(["verify", _table_artifact(tmp_path, edit)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("FAIL ")
+
+
+def test_parse_frac_takes_only_strings():
+    for bad in (0.5, 1, None, F(1, 2), "abc", "1/0", "inf"):
+        with pytest.raises(PreconditionError):
+            parse_frac(bad)
 
 
 def test_cli_smooth_degthr(capsys):
