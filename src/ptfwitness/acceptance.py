@@ -48,10 +48,10 @@ from .oracles import (
     bool_table,
     eval_poly,
     parity_table,
-    sign_table,
     smooth_threshold_degree,
     threshold_degree,
     threshold_density,
+    twist,
 )
 from .smooth_ops import weight_reduce
 
@@ -142,8 +142,7 @@ def criterion_6_rs_smooth():
     floor = F(1, 4) * F(1, 12 * 2 ** 4) ** 2
     floor_ok = all(lam(p) >= floor for p in hypercube(8).points())
     bound = min(cert.d_psi, 2)
-    twisted = lam.hadamard(sign_table(mp_table(2, 4)))
-    orth_ok = orth(twisted, cap=bound - 1) is None
+    orth_ok = orth(twist(lam, mp_table(2, 4)), cap=bound - 1) is None
     lp = smooth_threshold_degree(mp_table(2, 4), F(1, 12 ** 3))
     ok = (cert.is_distribution and floor_ok and orth_ok and lp.value >= bound)
     return ok, (f"floor={floor} d_psi={cert.d_psi} bound={bound} "
@@ -275,9 +274,7 @@ def criterion_12_amplification_end_to_end():
     mu = uniform(hypercube(1))
     lam, cert = min_smooth_amplify(f, mu, m=1, r=1, R=4, theta=5, gamma=F(1), d=1)
     table = compose_table(f, 1, 4, theta=5)
-    st = sign_table(table)
-    twisted = lam.hadamard(FnTable(lam.domain, st.entries))
-    orth_ok = orth(twisted, cap=cert.orth_verified - 1) is None
+    orth_ok = orth(twist(lam, table), cap=cert.orth_verified - 1) is None
     lp = smooth_threshold_degree(table, cert.min_smooth_factor)
     ok = (lam.is_distribution() and orth_ok
           and cert.min_smooth_factor > 0 and lp.value >= cert.d)

@@ -44,14 +44,13 @@ from .core import (
     hypercube,
     least_poly_degree,
     orth,
-    rehome,
     smoothness_constant,
     weight_slice,
 )
 from .dual_mp import build_mp_smooth_witness, build_mp_witness
 from .errors import ConstructionError, PreconditionError
 from .mixtures import FamilySpec, ProductMixture
-from .oracles import bool_table, eval_poly, sign_table
+from .oracles import bool_table, eval_poly, twist
 from .smooth_ops import redistribute, weight_reduce_convex, zero_out_heavy_convex
 
 F = Fraction
@@ -360,8 +359,7 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
     for p in f.domain.points():
         if mu(p) < floor:
             raise PreconditionError("stage mu-check: mu misses its pointwise floor")
-    twisted = mu.hadamard(sign_table(f))
-    d_f = orth(twisted)
+    d_f = orth(twist(mu, f))
     if d_f is None or d_f < 1:
         raise PreconditionError("stage mu-check: mu witnesses nothing")
 
@@ -378,7 +376,7 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
     tilde: dict[Point, FnTable] = {}
     for z in hypercube(n).points():
         mix = _z_product(z, lam_0, lam_1)
-        dense = rehome(mix.densify(), big)
+        dense = FnTable(big, mix.densify().entries)
         if dense.mass(lo=theta + 1) == 0:
             tilde[z] = dense
             continue
@@ -389,7 +387,7 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
         if not reduced.is_distribution():
             raise ConstructionError(
                 "stage tails: restriction did not stay a distribution at this scale")
-        tilde[z] = rehome(reduced, big)
+        tilde[z] = FnTable(big, reduced.entries)
     for z, table in tilde.items():
         for p in table.entries:
             if sum(p) > theta:
@@ -402,7 +400,7 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
     for z, table in tilde.items():
         signed = table.scale(F((-1) ** f(z), 2 ** n))
         phi = signed if phi is None else phi + signed
-    phi = rehome(phi, big)
+    phi = FnTable(big, phi.entries)
     region = [p for p in big.points() if sum(p) <= theta]
     if any(phi(p) == 0 for p in region):
         raise ConstructionError("stage phi: signed average vanishes inside the cap")
@@ -424,9 +422,7 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
         signed = table.scale(mu(z) * F((-1) ** f(z)))
         final = signed if final is None else final + signed
     final = final + phi.scale(-gamma) + phi_star.scale(gamma)
-    comp_sign = sign_table(compose_table(f, m, R, theta))
-    twisted_final = FnTable(big, {p: comp_sign(p) * final(p) for p in region
-                                  if final(p)}, _trusted=True)
+    twisted_final = twist(final, compose_table(f, m, R, theta))
     if not twisted_final.is_nonnegative():
         raise ConstructionError("stage final: sign agreement failed")
     norm = final.l1()

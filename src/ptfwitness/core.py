@@ -1,14 +1,15 @@
 """Exact arithmetic core.
 
 Finite integer domains (boxes, hypercubes, weight slices), finitely
-supported rational-valued functions on them, orthogonal content, tensor
-products, the Fourier transform on the hypercube, and symmetrization.
-Everything here is exact: values are `fractions.Fraction` and no
-operation rounds.  Table arithmetic (scaling, sums, pointwise and tensor
-products, totals and l1 norms) runs on integer numerators: each input
-table is cleared once to numerators over its least common denominator
-(`cleared`), the result is computed in integers, and exactly one
-Fraction is built per output value.
+supported rational-valued functions on them, orthogonal content, the
+Fourier transform on the hypercube, and symmetrization.  Everything here
+is exact: values are `fractions.Fraction` and no operation rounds.  Table
+arithmetic (scaling, sums, totals and l1 norms) runs on integer
+numerators: each input table is cleared once to numerators over its least
+common denominator (`cleared`), the result is computed in integers, and
+exactly one Fraction is built per output value.  Tensor products are
+`mixtures.ProductMixture` terms, expanded by its `densify`; sign twists
+are `oracles.twist`.
 """
 
 from __future__ import annotations
@@ -87,13 +88,6 @@ class Domain:
             and all(o == 0 for o in self.offset)
             and self.window is None
         )
-
-    def weight_range(self) -> tuple[int, int]:
-        lo = sum(self.offset)
-        hi = lo + sum(self.bounds)
-        if self.window is not None:
-            lo, hi = max(lo, self.window[0]), min(hi, self.window[1])
-        return lo, hi
 
     def contains(self, p: Point) -> bool:
         if len(p) != self.n:
@@ -277,18 +271,6 @@ class FnTable:
     def __sub__(self, other: "FnTable") -> "FnTable":
         return self._merge(other, -1)
 
-    def hadamard(self, other: "FnTable") -> "FnTable":
-        """Pointwise product over the common support."""
-        if self.domain.n != other.domain.n:
-            raise PreconditionError("dimension mismatch")
-        small, big = (self, other) if len(self.entries) <= len(other.entries) else (other, self)
-        common = [p for p in small.entries if p in big.entries]
-        vs, vden = cleared([small.entries[p] for p in common])
-        ws, wden = cleared([big.entries[p] for p in common])
-        den = vden * wden
-        return FnTable(self.domain, {p: Fraction(v * w, den) for p, v, w in zip(common, vs, ws)},
-                       _trusted=True)
-
     def restrict_weight(self, lo: int | None = None, hi: int | None = None) -> "FnTable":
         """Keep only support points whose weight lies in [lo, hi]."""
         out = {p: v for p, v in self.entries.items()
@@ -411,33 +393,6 @@ def orth(f: FnTable, cap: int | None = None) -> int | None:
     return None
 
 
-def tensor(f: FnTable, g: FnTable) -> FnTable:
-    """(f (x) g)(x, y) = f(x) g(y) on the product domain."""
-    fa, ga = f.domain, g.domain
-    window = None
-    if fa.window is not None or ga.window is not None:
-        flo, fhi = fa.weight_range()
-        glo, ghi = ga.weight_range()
-        window = (flo + glo, fhi + ghi)
-    dom = Domain(fa.bounds + ga.bounds, fa.offset + ga.offset, window)
-    fs, fden = cleared(list(f.entries.values()))
-    gs, gden = cleared(list(g.entries.values()))
-    den = fden * gden
-    right = list(zip(g.entries, gs))
-    out = {p + q: Fraction(v * w, den) for p, v in zip(f.entries, fs) for q, w in right}
-    return FnTable(dom, out, _trusted=True)
-
-
-def tensor_power(f: FnTable, m: int) -> FnTable:
-    m = as_int(m)
-    if m < 1:
-        raise PreconditionError("tensor power needs m >= 1")
-    out = f
-    for _ in range(m - 1):
-        out = tensor(out, f)
-    return out
-
-
 def chi(S: frozenset[int], p: Point) -> int:
     s = sum(p[i] for i in S)
     return -1 if s % 2 else 1
@@ -544,11 +499,6 @@ def tighten_domain(f: FnTable) -> FnTable:
     hi = tuple(max(p[i] for p in pts) for i in range(n))
     dom = Domain(tuple(b - a for a, b in zip(lo, hi)), lo)
     return FnTable(dom, f.entries, _trusted=True)
-
-
-def rehome(f: FnTable, domain: Domain) -> FnTable:
-    """The same function viewed on a larger domain."""
-    return FnTable(domain, f.entries)
 
 
 def smoothness_constant(f: FnTable, weight_cap: int | None = None) -> Fraction | None:

@@ -31,14 +31,13 @@ from .core import (
     orth,
     point_mass,
     smoothness_constant,
-    tensor_power,
     tighten_domain,
     uniform,
 )
 from .dual_or import PsiCertificate, build_psi
 from .errors import ConstructionError, PreconditionError
 from .mixtures import DENSIFY_LIMIT, FamilySpec, ProductMixture, expand_power
-from .oracles import sign_table
+from .oracles import twist
 
 F = Fraction
 
@@ -277,8 +276,8 @@ def build_mp_smooth_witness(m: int, r: int, R: int
 
     dense_psi1 = psi1.densify()
     dense_psi2 = psi2.densify()
-    t1 = tensor_power(table_mix1, m)
-    t2 = tensor_power(table_mix2, m)
+    t1 = ProductMixture({"t": table_mix1}, [(F(1), ("t",) * m)]).densify()
+    t2 = ProductMixture({"t": table_mix2}, [(F(1), ("t",) * m)]).densify()
     sandwiches_ok = True
     for p in dense_dom.points():
         a1, b1 = abs(dense_psi1(p)), t1(p)
@@ -359,18 +358,16 @@ def build_rs_smooth(m: int, r: int) -> tuple[FnTable, RsSmoothCertificate]:
 
     a = lam0.scale(F(2, 3)) + lam2.scale(F(1, 3))
     b = lam0.scale(F(-1, 3)) + lam2.scale(F(1, 3))
-    lam = (
-        tensor_power(a, m).scale(F(1, 2))
-        - tensor_power(b, m).scale(F(1, 2))
-        + tensor_power(lam1, m).scale(F(1, 2))
-    )
+    # (a^(x)m - b^(x)m + lam1^(x)m) / 2 in one integer pass
+    lam = ProductMixture({"a": a, "b": b, "l1": lam1},
+                         [(F(1, 2), ("a",) * m), (F(-1, 2), ("b",) * m), (F(1, 2), ("l1",) * m)]
+                         ).densify()
     floor = F(1, 4) * F(1, 12 * 2 ** r) ** m
     dom = hypercube(m * r)
     floor_ok = all(lam(p) >= floor for p in dom.points())
     is_dist = lam.is_distribution()
-    twisted = lam.hadamard(sign_table(mp_table(m, r)))
     claimed = min(d_psi, m)
-    value = orth(twisted)
+    value = orth(twist(lam, mp_table(m, r)))
     if value is None or value < claimed:
         raise ConstructionError("min-smooth witness lost its orthogonality")
     if not (floor_ok and is_dist):

@@ -41,6 +41,7 @@ from .core import cleared
 from .errors import ArtifactError, PreconditionError, VerificationError
 
 F = Fraction
+_EXACT_TYPES = frozenset({int, Fraction})  # the LP's only entry types
 
 # (nums, rhs, den): the constraint nums . x == rhs, all over den > 0
 Row = tuple[list[int], int, int]
@@ -48,8 +49,9 @@ Row = tuple[list[int], int, int]
 
 def _cleared(values) -> tuple[list[int], int]:
     """Integer numerators of ints and Fractions over their least common
-    positive denominator."""
-    if not all(isinstance(v, (int, Fraction)) for v in values):
+    positive denominator.  Only values of exactly these two types pass:
+    a bool, like any other type, raises PreconditionError."""
+    if not all(map(_EXACT_TYPES.__contains__, map(type, values))):
         raise PreconditionError("LP entries must be ints or Fractions")
     return cleared(values)
 

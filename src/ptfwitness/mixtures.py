@@ -27,7 +27,8 @@ from fractions import Fraction
 from math import lcm
 
 from .brackets import Bracket, pow2_brackets
-from .core import Domain, FnTable, as_rat, cleared, merge_domains, smoothness_constant
+from .core import (Domain, FnTable, as_rat, cleared, merge_domains, smoothness_constant,
+                   tighten_domain)
 from .errors import PreconditionError
 
 F = Fraction
@@ -74,14 +75,18 @@ class ProductMixture:
         a = as_rat(a)
         return ProductMixture(self.factors, [(a * c, labs) for c, labs in self.terms])
 
+    def _factors_with(self, other: "ProductMixture") -> dict[str, FnTable]:
+        """Both factor dictionaries in one; a label of two different tables raises."""
+        factors = dict(self.factors)
+        for lab, t in other.factors.items():
+            if factors.setdefault(lab, t) is not t and factors[lab] != t:
+                raise PreconditionError(f"conflicting tables for label {lab!r}")
+        return factors
+
     def combined(self, other: "ProductMixture") -> "ProductMixture":
         if self.width != other.width:
             raise PreconditionError("mixture width mismatch")
-        factors = dict(self.factors)
-        for lab, t in other.factors.items():
-            if lab in factors and factors[lab] is not t and factors[lab] != t:
-                raise PreconditionError(f"conflicting tables for label {lab!r}")
-            factors.setdefault(lab, t)
+        factors = self._factors_with(other)
         merged: dict[tuple[str, ...], Fraction] = {}
         for c, labs in self.terms + other.terms:
             merged[labs] = merged.get(labs, F(0)) + c
@@ -91,14 +96,9 @@ class ProductMixture:
         return ProductMixture(factors, terms)
 
     def tensor_with(self, other: "ProductMixture") -> "ProductMixture":
-        factors = dict(self.factors)
-        for lab, t in other.factors.items():
-            if lab in factors and factors[lab] != t:
-                raise PreconditionError(f"conflicting tables for label {lab!r}")
-            factors.setdefault(lab, t)
         terms = [(c1 * c2, l1 + l2)
                  for c1, l1 in self.terms for c2, l2 in other.terms]
-        return ProductMixture(factors, terms)
+        return ProductMixture(self._factors_with(other), terms)
 
     def coefficients_convex(self) -> bool:
         return all(c >= 0 for c, _ in self.terms) and \
@@ -225,20 +225,12 @@ class FamilySpec:
     def _member_smooth(self, table: FnTable) -> bool:
         if not table.is_distribution():
             return False
-        pts = list(table.entries)
-        n = len(pts[0])
-        if self.n is not None and n != self.n:
+        boxed = tighten_domain(table)
+        dom = boxed.domain
+        if (self.n is not None and dom.n != self.n) or sum(dom.offset) > self.delta:
             return False
-        lo = tuple(min(p[i] for p in pts) for i in range(n))
-        hi = tuple(max(p[i] for p in pts) for i in range(n))
-        if sum(lo) > self.delta:
-            return False
-        full = 1
-        for a, b in zip(lo, hi):
-            full *= b - a + 1
-        if len(pts) != full:
+        if len(boxed.entries) != dom.size():
             return False  # support must be a full product box
-        boxed = FnTable(Domain(tuple(b - a for a, b in zip(lo, hi)), lo), table.entries)
         k = smoothness_constant(boxed)
         return k is not None and k <= self.K
 

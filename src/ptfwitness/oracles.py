@@ -44,6 +44,9 @@ over each class's coordinates and re-checked by _check_primal on the cube.
 
 Both artifacts of every answer are re-checked before being returned.  The
 degree and density oracles take Boolean tables, which store only the value 1.
+`twist` is the one sign twist (-1)^f mu of a table by a Boolean table: it
+flips mu's sign at f's 1-points and builds no +-1 table.  Every witness
+re-check in the library reads it.
 """
 
 from __future__ import annotations
@@ -89,18 +92,21 @@ def bool_table(domain: Domain, ones: Iterable[Point]) -> FnTable:
     return FnTable(domain, {tuple(p): F(1) for p in ones})
 
 
-def sign_table(f: FnTable) -> FnTable:
-    """(-1)^f over the whole domain of a Boolean table."""
-    out = {}
-    for p in f.domain.points():
-        out[p] = F(-1) if f(p) == 1 else F(1)
-    return FnTable(f.domain, out, _trusted=True)
-
-
 def _boolean(f: FnTable) -> FnTable:
     if any(v != 1 for v in f.entries.values()):
         raise PreconditionError("a Boolean table stores only the value 1")
     return f
+
+
+def twist(mu: FnTable, f: FnTable) -> FnTable:
+    """(-1)^f mu on mu's domain: mu with its sign flipped at the 1-points of
+    the Boolean table f.  Support of mu outside f's domain raises
+    PreconditionError."""
+    ones = _boolean(f).entries
+    if mu.domain != f.domain and not all(map(f.domain.contains, mu.entries)):
+        raise PreconditionError("support outside the domain of the Boolean table")
+    return FnTable(mu.domain, {p: -v if p in ones else v for p, v in mu.entries.items()},
+                   _trusted=True)
 
 
 @dataclass
@@ -333,17 +339,14 @@ def check_smooth_witness(f: FnTable, mu: FnTable, gamma: Fraction, d: int) -> No
     Boolean table f: a probability distribution on f's domain with floor
     gamma/|X| at every point, whose twist by (-1)^f is orthogonal to every
     polynomial of degree < d.  Raises VerificationError otherwise."""
-    ones = _boolean(f).entries
+    _boolean(f)
     points = _points(mu.domain)
     floor = gamma / len(points)
     w = mu.entries
     if sum(w.values()) != 1 or any(w.get(p, 0) < floor for p in points):
         raise VerificationError("smooth witness failed distribution re-check")
-    if d > 0:
-        twisted = FnTable(mu.domain, {p: -v if p in ones else v for p, v in w.items()},
-                          _trusted=True)
-        if orth(twisted, cap=d - 1) is not None:
-            raise VerificationError("smooth witness orthogonality failed re-check")
+    if d > 0 and orth(twist(mu, f), cap=d - 1) is not None:
+        raise VerificationError("smooth witness orthogonality failed re-check")
 
 
 def smooth_threshold_degree(f: FnTable, gamma: Fraction) -> DegreeAnswer:

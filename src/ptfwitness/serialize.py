@@ -182,22 +182,37 @@ def _table(t: FnTable, out: list[str], nl: str | None, step: str) -> None:
     out.append(f'{sep}"schema": "fntable/{SCHEMA_VERSION}"{end}')
 
 
+def _field(data, key: str):
+    """data[key]; a missing key or a non-object raises PreconditionError."""
+    if not isinstance(data, dict) or key not in data:
+        raise PreconditionError(f"missing field {key!r}")
+    return data[key]
+
+
+def _list(data, length: int | None = None) -> list:
+    """data when it is a list, of `length` items if given; else PreconditionError."""
+    if not isinstance(data, list) or length not in (None, len(data)):
+        raise PreconditionError(f"not a list of {length or 'any number of'} items: {data!r}")
+    return data
+
+
 def domain_from_json(data: dict) -> Domain:
     """A Domain from its schema dict; bounds, offset and window must be
-    integers."""
-    return Domain(tuple(map(as_int, data["bounds"])),
-                  tuple(map(as_int, data.get("offset") or ())),
-                  tuple(map(as_int, data["window"])) if "window" in data else None)
+    integers, and a window has two."""
+    return Domain(tuple(map(as_int, _list(_field(data, "bounds")))),
+                  tuple(map(as_int, _list(data.get("offset") or []))),
+                  tuple(map(as_int, _list(data["window"], 2))) if "window" in data else None)
 
 
 def table_from_json(data: dict) -> FnTable:
-    """An FnTable from its fntable schema dict.  A repeated point, a
-    coordinate that is not an integer and a value that is not an exact
-    rational string each raise PreconditionError."""
-    dom = domain_from_json(data["domain"])
+    """An FnTable from its fntable schema dict.  A missing field, an entry
+    that is not a [point, value] pair, a repeated point, a coordinate that
+    is not an integer or an inexact value raises PreconditionError."""
+    dom = domain_from_json(_field(data, "domain"))
     entries: dict = {}
-    for p, v in data["entries"]:
-        p = tuple(map(as_int, p))
+    for entry in _list(_field(data, "entries")):
+        p, v = _list(entry, 2)
+        p = tuple(map(as_int, _list(p)))
         if p in entries:
             raise PreconditionError(f"repeated point {list(p)}")
         entries[p] = parse_frac(v)
@@ -205,10 +220,14 @@ def table_from_json(data: dict) -> FnTable:
 
 
 def circuit_from_json(data: dict) -> CircuitDesc:
-    c = CircuitDesc(data["n_inputs"])
-    for op, children in data["gates"]:
-        c.gates.append(Gate(op, tuple(tuple(r) for r in children)))
-    c.output = tuple(data["output"])
+    """A CircuitDesc from its circuit schema dict.  A missing field, a gate
+    that is not an [op, children] pair and a reference out of range each
+    raise PreconditionError."""
+    c = CircuitDesc(as_int(_field(data, "n_inputs")))
+    for gate in _list(_field(data, "gates")):
+        op, children = _list(gate, 2)
+        c.gates.append(Gate(op, tuple(tuple(_list(r)) for r in _list(children))))
+    c.output = tuple(_list(_field(data, "output")))
     c.validate()
     return c
 

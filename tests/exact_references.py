@@ -5,8 +5,11 @@ pointwise value of a product mixture, and the code that the integer table
 arithmetic replaced.
 
 The last group is the earlier library code, kept verbatim as free
-functions: FnTable's scale, hadamard, total and l1, add_scaled, tensor
-and ProductMixture.densify, each one Fraction operation at a time;
+functions: FnTable's integer pointwise product `hadamard` and the dense
++-1 table `sign_table`, whose composition `hadamard(mu, sign_table(f))`
+was the sign twist; FnTable's scale, total and l1, add_scaled, tensor (with
+the Domain method `weight_range` that only it read) and
+ProductMixture.densify, each one Fraction operation at a time;
 pow2_brackets with both sides in one integer digit loop;
 select_heavy_set on Fraction magnitudes; and serialize's two-step
 writer, which copied each object into a tree of dicts, lists and "p/q"
@@ -30,7 +33,7 @@ from ptfwitness.brackets import (
     sqrt_lower,
 )
 from ptfwitness.circuits import CircuitDesc
-from ptfwitness.core import Domain, FnTable, Point, as_int, as_rat, smoothness_constant
+from ptfwitness.core import Domain, FnTable, Point, as_int, as_rat, cleared, smoothness_constant
 from ptfwitness.errors import ConstructionError, PreconditionError
 from ptfwitness.mixtures import DENSIFY_LIMIT, ProductMixture
 from ptfwitness.serialize import SCHEMA_VERSION, frac_str
@@ -196,17 +199,33 @@ def fraction_scale(self: FnTable, a) -> FnTable:
                    _trusted=True)
 
 
-def fraction_hadamard(self: FnTable, other: FnTable) -> FnTable:
+def hadamard(self: FnTable, other: FnTable) -> FnTable:
     """Pointwise product over the common support."""
     if self.domain.n != other.domain.n:
         raise PreconditionError("dimension mismatch")
     small, big = (self, other) if len(self.entries) <= len(other.entries) else (other, self)
+    common = [p for p in small.entries if p in big.entries]
+    vs, vden = cleared([small.entries[p] for p in common])
+    ws, wden = cleared([big.entries[p] for p in common])
+    den = vden * wden
+    return FnTable(self.domain, {p: Fraction(v * w, den) for p, v, w in zip(common, vs, ws)},
+                   _trusted=True)
+
+
+def sign_table(f: FnTable) -> FnTable:
+    """(-1)^f over the whole domain of a Boolean table."""
     out = {}
-    for p, v in small.entries.items():
-        w = big.entries.get(p)
-        if w is not None:
-            out[p] = v * w
-    return FnTable(self.domain, out, _trusted=True)
+    for p in f.domain.points():
+        out[p] = F(-1) if f(p) == 1 else F(1)
+    return FnTable(f.domain, out, _trusted=True)
+
+
+def weight_range(self: Domain) -> tuple[int, int]:
+    lo = sum(self.offset)
+    hi = lo + sum(self.bounds)
+    if self.window is not None:
+        lo, hi = max(lo, self.window[0]), min(hi, self.window[1])
+    return lo, hi
 
 
 def fraction_tensor(f: FnTable, g: FnTable) -> FnTable:
@@ -214,8 +233,8 @@ def fraction_tensor(f: FnTable, g: FnTable) -> FnTable:
     fa, ga = f.domain, g.domain
     window = None
     if fa.window is not None or ga.window is not None:
-        flo, fhi = fa.weight_range()
-        glo, ghi = ga.weight_range()
+        flo, fhi = weight_range(fa)
+        glo, ghi = weight_range(ga)
         window = (flo + glo, fhi + ghi)
     dom = Domain(fa.bounds + ga.bounds, fa.offset + ga.offset, window)
     out = {}

@@ -19,7 +19,7 @@ from ptfwitness.circuits import literal, mp, parity2_circuit
 from ptfwitness.core import FnTable, box, chi, hypercube, least_poly_degree, orth, uniform, weight_slice
 from ptfwitness.dual_mp import build_mp_witness
 from ptfwitness.errors import PreconditionError
-from ptfwitness.oracles import bool_table, eval_poly, sign_table, smooth_threshold_degree
+from ptfwitness.oracles import bool_table, eval_poly, smooth_threshold_degree, twist
 
 F = Fraction
 
@@ -261,9 +261,7 @@ def test_min_smooth_amplify_smallest():
     assert cert.min_smooth_factor > 0
     assert lam.is_distribution()
     table = compose_table(f, 1, 4, theta=5)
-    st = sign_table(table)
-    twisted = lam.hadamard(FnTable(lam.domain, st.entries))
-    assert orth(twisted, cap=cert.orth_verified - 1) is None
+    assert orth(twist(lam, table), cap=cert.orth_verified - 1) is None
     ans = smooth_threshold_degree(table, cert.min_smooth_factor)
     assert ans.value >= cert.d
 
@@ -277,9 +275,7 @@ def test_min_smooth_amplify_with_live_tail_stage():
     assert lam.is_distribution()
     assert max(sum(p) for p in lam.entries) <= 6
     table = compose_table(f, 1, 7, theta=6)
-    st = sign_table(table)
-    twisted = lam.hadamard(FnTable(lam.domain, st.entries))
-    assert orth(twisted, cap=cert.orth_verified - 1) is None
+    assert orth(twist(lam, table), cap=cert.orth_verified - 1) is None
     lp = smooth_threshold_degree(table, cert.min_smooth_factor)
     assert lp.value >= cert.d
 

@@ -159,6 +159,29 @@ def test_cli_verify_rejects_inexact_tables(tmp_path, capsys, edit):
     assert captured.out == "" and captured.err.startswith("FAIL ")
 
 
+def _circuit_artifact(tmp_path, edit):
+    data = json.loads(dumps(mp(2, 2)))
+    edit(data)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("artifact", [
+    lambda tmp: _table_artifact(tmp, lambda d: d["entries"][0].pop()),
+    lambda tmp: _table_artifact(tmp, lambda d: d["entries"][0].append("1/2")),
+    lambda tmp: _table_artifact(tmp, lambda d: d["domain"].update(window=[0])),
+    lambda tmp: _table_artifact(tmp, lambda d: d.pop("domain")),
+    lambda tmp: _circuit_artifact(tmp, lambda d: d["gates"].__setitem__(0, ["and"])),
+], ids=["entry-without-value", "entry-with-third-element", "one-element-window",
+        "missing-domain", "gate-without-children"])
+def test_cli_verify_rejects_malformed_artifacts(tmp_path, capsys, artifact):
+    code = main(["verify", artifact(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("FAIL ")
+
+
 def test_parse_frac_takes_only_strings():
     for bad in (0.5, 1, None, F(1, 2), "abc", "1/0", "inf"):
         with pytest.raises(PreconditionError):

@@ -22,13 +22,18 @@ from ptfwitness.core import (
     lift_symmetric_to_cube,
     monomials,
     orth,
-    tensor,
-    tensor_power,
     weight_slice,
 )
 from ptfwitness.errors import PreconditionError
+from ptfwitness.mixtures import ProductMixture
 
 F = Fraction
+
+
+def tensor(*tables):
+    """f (x) g (x) ..., as one ProductMixture term expanded by densify."""
+    factors = {str(i): t for i, t in enumerate(tables)}
+    return ProductMixture(factors, [(F(1), tuple(factors))]).densify()
 
 
 def char_table(n, S):
@@ -194,11 +199,10 @@ def test_orth_tensor_additive(f, g):
 @settings(max_examples=30, deadline=None)
 def test_orth_power_difference(f, g, n):
     d = orth(f - g)
-    fn = tensor_power(f, n) if not f.is_zero() else None
-    gn = tensor_power(g, n) if not g.is_zero() else None
     if f.is_zero() or g.is_zero():
         return
-    diff = fn - gn
+    # f^(x)n - g^(x)n as a two-term mixture
+    diff = ProductMixture({"f": f, "g": g}, [(F(1), ("f",) * n), (F(-1), ("g",) * n)]).densify()
     if d is None:
         assert orth(diff) is None
     else:

@@ -20,10 +20,10 @@ from ptfwitness.oracles import (
     approx_intervals,
     iii_approx_degree,
     parity_table,
-    sign_table,
     smooth_threshold_degree,
     threshold_degree,
     total_fn,
+    twist,
 )
 from ptfwitness.serialize import dumps
 from ptfwitness.smooth_ops import select_heavy_set, weight_reduce
@@ -47,7 +47,7 @@ def test_fourier_orth_consistency():
     # monomial-scan orthogonal content, for the twisted smooth witness
     f = parity_table(2)
     mu = smooth_threshold_degree(f, F(1)).dual
-    phi = mu.hadamard(sign_table(f))
+    phi = twist(mu, f)
     coeffs = fourier(phi)
     by_fourier = min(len(S) for S, c in coeffs.items() if c != 0)
     by_monomials = orth(phi)

@@ -12,7 +12,7 @@ from ptfwitness.dual_mp import (
     build_rs_smooth,
 )
 from ptfwitness.errors import PreconditionError
-from ptfwitness.oracles import sign_table
+from ptfwitness.oracles import twist
 
 F = Fraction
 
@@ -29,9 +29,12 @@ def mp_cube_sign(m: int, r: int) -> FnTable:
 
 
 def test_mp_sign_table_matches_cube_sign_reference():
+    # the twist of the constant 1 is the sign table (-1)^MP
     for m in range(1, 13):
         for r in range(1, 12 // m + 1):
-            got, want = sign_table(mp_table(m, r)), mp_cube_sign(m, r)
+            dom = hypercube(m * r)
+            one = FnTable(dom, dict.fromkeys(dom.points(), F(1)))
+            got, want = twist(one, mp_table(m, r)), mp_cube_sign(m, r)
             assert got.domain == want.domain
             assert list(got.entries.items()) == list(want.entries.items())
 
@@ -123,8 +126,7 @@ def test_rs_smooth_2_4():
     assert cert.floor == F(1, 4) * F(1, 12 * 16) ** 2
     assert cert.floor_ok
     assert cert.orth_value >= min(cert.d_psi, 2)
-    twisted = lam.hadamard(sign_table(mp_table(2, 4)))
-    assert orth(twisted, cap=cert.orth_claimed - 1) is None
+    assert orth(twist(lam, mp_table(2, 4)), cap=cert.orth_claimed - 1) is None
 
 
 def test_rs_smooth_guard():

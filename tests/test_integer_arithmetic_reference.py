@@ -1,7 +1,7 @@
 """The integer table arithmetic of ptfwitness.core, ProductMixture.densify,
-brackets.pow2_bound and smooth_ops.select_heavy_set against the code they
-replaced (tests/exact_references.py), which did one Fraction operation at
-a time.
+oracles.twist, brackets.pow2_bound and smooth_ops.select_heavy_set against
+the code they replaced (tests/exact_references.py), which did one Fraction
+operation at a time or, for the twist, built a dense +-1 table.
 
 Every kernel must return the same values on the same support.  The
 strategies mix denominators, draw negative values and coefficients,
@@ -17,18 +17,20 @@ from hypothesis import given, settings, strategies as st
 from exact_references import (
     fraction_add_scaled,
     fraction_densify,
-    fraction_hadamard,
     fraction_l1,
     fraction_scale,
     fraction_select_heavy_set,
     fraction_tensor,
     fraction_total,
+    hadamard,
+    sign_table,
     two_sided_pow2_brackets,
 )
 from ptfwitness.brackets import pow2_bound, pow2_brackets
-from ptfwitness.core import Domain, FnTable, add_scaled, tensor, tensor_power
+from ptfwitness.core import Domain, FnTable, add_scaled, merge_domains
 from ptfwitness.errors import PreconditionError
 from ptfwitness.mixtures import ProductMixture
+from ptfwitness.oracles import twist
 from ptfwitness.smooth_ops import select_heavy_set
 
 F = Fraction
@@ -108,27 +110,78 @@ def test_scale_total_l1_match_fraction_reference(f, a):
     assert f.l1() == fraction_l1(f) and type(f.l1()) is Fraction
 
 
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(tables(n), tables(n))))
+@st.composite
+def twist_cases(draw):
+    """(mu, f): f a Boolean table on mu's domain, or on a box that holds
+    mu's domain, with a random set of 1-points."""
+    n = draw(st.integers(1, 3))
+    mu = draw(tables(n))
+    dom = mu.domain if draw(st.booleans()) else merge_domains(mu.domain, draw(tables(n)).domain)
+    return mu, FnTable(dom, {p: F(1) for p in dom.points() if draw(st.booleans())})
+
+
+@given(twist_cases())
 @settings(max_examples=300, deadline=None)
-def test_hadamard_matches_fraction_reference(pair):
-    f, g = pair
-    same_table(f.hadamard(g), fraction_hadamard(f, g))
-    same_table(g.hadamard(f), fraction_hadamard(g, f))
+def test_twist_matches_hadamard_reference(case):
+    mu, f = case
+    same_table(twist(mu, f), hadamard(mu, sign_table(f)))
+
+
+def test_twist_rejects_support_outside_the_boolean_domain():
+    mu = FnTable(Domain((2,)), {(0,): F(1, 2), (2,): F(1, 2)})
+    f = FnTable(Domain((1,)), {(1,): F(1)})
+    # the dense reference drops the point (2,) without a word
+    assert hadamard(mu, sign_table(f)).entries == {(0,): F(1, 2)}
+    with pytest.raises(PreconditionError, match="outside the domain"):
+        twist(mu, f)
+    with pytest.raises(PreconditionError, match="outside the domain"):
+        twist(FnTable(Domain((1, 1)), {(0, 1): F(1)}), f)  # another dimension
+    with pytest.raises(PreconditionError, match="Boolean"):
+        twist(mu, FnTable(Domain((2,)), {(1,): F(2)}))
+    # support inside f's domain passes, whatever mu's own domain
+    assert twist(FnTable(Domain((2,)), {(1,): F(1, 3)}), f).entries == {(1,): F(-1, 3)}
+
+
+def densify_product(factors, labels, c=F(1)):
+    """One mixture term c * factors[l1] (x) factors[l2] ..., densified."""
+    return ProductMixture(factors, [(c, labels)]).densify()
+
+
+def same_product(got: FnTable, want: FnTable) -> None:
+    """Equal entries; densify homes its table on the ambient box, so a
+    weight window of the reference's domain is dropped."""
+    assert got.domain == Domain(want.domain.bounds, want.domain.offset)
+    same_table(got, FnTable(got.domain, want.entries, _trusted=True))
 
 
 @given(tables(), tables())
 @settings(max_examples=300, deadline=None)
 def test_tensor_matches_fraction_reference(f, g):
-    same_table(tensor(f, g), fraction_tensor(f, g))
+    same_product(densify_product({"f": f, "g": g}, ("f", "g")), fraction_tensor(f, g))
 
 
-@given(tables(), st.integers(1, 3))
-@settings(max_examples=100, deadline=None)
-def test_tensor_power_matches_fraction_reference(f, m):
+def fraction_power(f: FnTable, m: int) -> FnTable:
     want = f
     for _ in range(m - 1):
         want = fraction_tensor(want, f)
-    same_table(tensor_power(f, m), want)
+    return want
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(tables(n), tables(n))),
+       st.integers(1, 3), rationals, rationals)
+@settings(max_examples=100, deadline=None)
+def test_tensor_power_matches_fraction_reference(pair, m, a, b):
+    f, g = pair
+    # one term: f^(x)m
+    same_product(densify_product({"f": f}, ("f",) * m), fraction_power(f, m))
+    # two terms: a f^(x)m + b g^(x)m on the box that holds both
+    mix = ProductMixture({"f": f, "g": g}, [(a, ("f",) * m), (b, ("g",) * m)])
+    want = {}
+    fraction_add_scaled(want, a, fraction_power(f, m).entries)
+    fraction_add_scaled(want, b, fraction_power(g, m).entries)
+    pos = f.domain if f.domain == g.domain else merge_domains(f.domain, g.domain)
+    same_product(mix.densify(), FnTable(Domain(pos.bounds * m, pos.offset * m), want,
+                                        _trusted=True))
 
 
 @st.composite
@@ -237,9 +290,3 @@ def test_add_scaled_rejects_float_coefficient():
         add_scaled(acc, 0.5, t.entries)
     assert acc == {}
 
-
-def test_tensor_power_rejects_non_integer_m():
-    t = FnTable(Domain((1,)), {(0,): F(1)})
-    for m in (2.0, True):
-        with pytest.raises(PreconditionError, match="not an integer"):
-            tensor_power(t, m)

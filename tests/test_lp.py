@@ -82,6 +82,19 @@ def test_float_entry_rejected():
     assert p.rows == []
 
 
+def test_bool_entry_rejected():
+    # a bool is an int subclass; like core.as_rat, the LP takes it for no number
+    p = LPProblem(2)
+    with pytest.raises(PreconditionError, match="ints or Fractions"):
+        p.add([True, 1], 1)
+    with pytest.raises(PreconditionError, match="ints or Fractions"):
+        p.add([1, 1], False)
+    assert p.rows == []
+    p.objective = [F(1), True]
+    with pytest.raises(PreconditionError, match="ints or Fractions"):
+        solve(p)
+
+
 def test_rows_only_through_add():
     with pytest.raises(TypeError):
         LPProblem(1, rows=[([1], 1, 1)])

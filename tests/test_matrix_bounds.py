@@ -21,8 +21,8 @@ from ptfwitness.oracles import (
     and_table,
     bool_table,
     parity_table,
-    sign_table,
     smooth_threshold_degree,
+    twist,
 )
 
 F = Fraction
@@ -134,7 +134,7 @@ def test_signrank_lb_pattern_parity():
     # orthogonal below its level, and sqrt(rows cols) / ||A|| * min mu >= bound
     n, T = f.domain.n, 2
     mu = ans.dual
-    phi = mu.hadamard(sign_table(f))
+    phi = twist(mu, f)
     assert all(c == 0 for S, c in fourier(phi).items() if len(S) < ans.value)
     norm_sq = pattern_spectral_norm(phi, T * n, n).norm_sq
     rows, cols = PatternMatrix(T * n, n, phi).shape

@@ -18,11 +18,11 @@ from ptfwitness.oracles import (
     iii_approx_degree,
     or_table,
     parity_table,
-    sign_table,
     smooth_threshold_degree,
     threshold_degree,
     threshold_density,
     total_fn,
+    twist,
 )
 
 F = Fraction
@@ -46,14 +46,12 @@ def one_sided_intervals(eps):
 
 
 def check_answer(f, ans: DegreeAnswer):
-    st = sign_table(f)
     if ans.primal is not None:
         for p in f.domain.points():
-            assert st(p) * eval_poly(ans.primal, p) >= 1
+            assert (-1) ** f(p) * eval_poly(ans.primal, p) >= 1
     if ans.value > 0:
         assert ans.dual is not None
-        twisted = ans.dual.hadamard(st)
-        assert twisted.is_nonnegative()
+        assert twist(ans.dual, f).is_nonnegative()
         assert orth(ans.dual, cap=ans.value - 1) is None
 
 

@@ -24,7 +24,7 @@ import pytest
 
 from ptfwitness import serialize
 from ptfwitness.brackets import e_brackets, inv_sqrt_brackets, one_plus_ln_brackets, pow2_brackets
-from ptfwitness.core import Domain, FnTable, hypercube, orth, smoothness_constant, tensor
+from ptfwitness.core import Domain, FnTable, hypercube, orth, smoothness_constant
 from ptfwitness.corrector import (
     CorrectorCertificate,
     build_zeta_cube,
@@ -515,11 +515,8 @@ def random_factor(rng, r):
 
 
 def random_product(rng, n):
-    table = None
-    for _ in range(n):
-        f = random_factor(rng, rng.randint(1, 3))
-        table = f if table is None else tensor(table, f)
-    return table
+    factors = {f"f{i}": random_factor(rng, rng.randint(1, 3)) for i in range(n)}
+    return ProductMixture(factors, [(F(1), tuple(factors))]).densify()
 
 
 @pytest.fixture(scope="module")
