@@ -1,20 +1,21 @@
-"""Explicit AND/OR circuits over literals, truth-table evaluation, and the
-named function families used throughout: the Minsky-Papert function and its
-symmetric form with its blockwise map, surjectivity, and the selector lift
-that converts threshold degree into threshold density.
+"""Explicit AND/OR circuits over literals, gatewise truth tables (one int
+per gate, holding its value at every point), and the named function
+families used throughout: the Minsky-Papert function and its symmetric form
+with its blockwise map, surjectivity, and the selector lift that converts
+threshold degree into threshold density.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import and_, or_
 from typing import Iterable, Sequence
 
-from .core import FnTable, box, hypercube, weight_slice
+from .core import FnTable, as_int, box, hypercube, weight_slice
 from .errors import PreconditionError
 from .oracles import bool_table
-
-F = Fraction
 
 # a reference is ("lit", var, negated) or ("gate", index)
 Ref = tuple
@@ -45,16 +46,17 @@ class CircuitDesc:
     output: Ref = ("lit", 0, False)
 
     def _check_ref(self, ref: Ref, upto: int) -> None:
-        kind = ref[0]
-        if kind == "lit":
-            _, var, neg = ref
-            if not (0 <= var < self.n_inputs):
+        """ref is ("lit", int var < n_inputs, bool negated) or ("gate", int
+        index < upto); anything else raises PreconditionError."""
+        shape = len(ref) if isinstance(ref, tuple) else 0
+        if shape == 3 and ref[0] == "lit" and isinstance(ref[2], bool):
+            if not (0 <= as_int(ref[1]) < self.n_inputs):
                 raise PreconditionError(f"literal {ref} out of range")
-        elif kind == "gate":
-            if not (0 <= ref[1] < upto):
+        elif shape == 2 and ref[0] == "gate":
+            if not (0 <= as_int(ref[1]) < upto):
                 raise PreconditionError(f"gate reference {ref} not yet defined (acyclic order)")
         else:
-            raise PreconditionError(f"bad reference {ref}")
+            raise PreconditionError(f"bad reference {ref!r}")
 
     def validate(self) -> None:
         for i, g in enumerate(self.gates):
@@ -116,27 +118,30 @@ class CircuitDesc:
 
     # ---------------------------------------------------------- evaluation
 
-    def evaluate(self, x: Sequence[int]) -> int:
-        if len(x) != self.n_inputs:
-            raise PreconditionError("arity mismatch")
+    def truth_table(self) -> FnTable:
+        """The table on hypercube(n_inputs), each gate evaluated once for the
+        whole cube: as one int whose bit i is its value at the i-th point of
+        `points()`, so AND, OR and negation are `&`, `|` and `^ full`."""
+        n = self.n_inputs
+        if n > 20:
+            raise PreconditionError("truth table limited to 20 inputs")
+        dom, size = hypercube(n), 1 << n
+        full = (1 << size) - 1
+        # the binary numeral lists the points last to first: x_k is 1 on a
+        # run of 2^(n-1-k) of them, then 0 on the next run, and so on
+        lits = [int(("1" * r + "0" * r) * (size // (2 * r)), 2)
+                for r in (size >> k + 1 for k in range(n))]
         vals: list[int] = []
 
         def ref_val(ref: Ref) -> int:
             if ref[0] == "lit":
-                _, var, neg = ref
-                return 1 - x[var] if neg else x[var]
+                return lits[ref[1]] ^ full if ref[2] else lits[ref[1]]
             return vals[ref[1]]
 
         for g in self.gates:
-            bits = [ref_val(r) for r in g.children]
-            vals.append(int(all(bits)) if g.op == "and" else int(any(bits)))
-        return ref_val(self.output)
-
-    def truth_table(self) -> FnTable:
-        if self.n_inputs > 20:
-            raise PreconditionError("truth table limited to 20 inputs")
-        dom = hypercube(self.n_inputs)
-        return bool_table(dom, (p for p in dom.points() if self.evaluate(p)))
+            vals.append(reduce(and_ if g.op == "and" else or_, map(ref_val, g.children)))
+        # bit i of the output is character i of its reversed binary string
+        return bool_table(dom, compress(dom.points(), map(int, bin(ref_val(self.output))[:1:-1])))
 
     def pruned(self) -> "CircuitDesc":
         """Drop gates unreachable from the output, renumbering the rest."""
@@ -202,18 +207,6 @@ class CircuitDesc:
         for g in self.gates:
             out.gates.append(Gate(g.op, tuple(fix(r) for r in g.children)))
         out.output = fix(self.output)
-        return out
-
-    def negated(self) -> "CircuitDesc":
-        """De Morgan dual: same DAG with ops swapped and literals negated."""
-        out = CircuitDesc(self.n_inputs)
-        for g in self.gates:
-            kids = tuple(("lit", r[1], not r[2]) if r[0] == "lit" else r for r in g.children)
-            out.gates.append(Gate("or" if g.op == "and" else "and", kids))
-        if self.output[0] == "lit":
-            out.output = ("lit", self.output[1], not self.output[2])
-        else:
-            out.output = self.output
         return out
 
     def to_dot(self) -> str:

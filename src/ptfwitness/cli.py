@@ -29,7 +29,7 @@ from .circuits import krause_pudlak, literal, mp, mp_table, parity2_circuit, sur
 from .core import FnTable, hypercube
 from .dual_mp import build_mp_smooth_witness, build_mp_witness, build_or_gadget, build_rs_smooth
 from .dual_or import build_psi
-from .errors import ArtifactError
+from .errors import ArtifactError, PreconditionError
 from .matrix_bounds import (
     forster_bound,
     pattern_spectral_norm,
@@ -258,8 +258,13 @@ def cmd_circuits(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    data = json.loads(Path(args.artifact).read_text())
-    schema = data.get("schema", "")
+    try:
+        data = json.loads(Path(args.artifact).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise PreconditionError(f"artifact is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise PreconditionError("artifact is not a JSON object")
+    schema = str(data.get("schema", ""))
     if schema.startswith("fntable/"):
         table = table_from_json(data)
         print(f"PASS fntable: {len(table.entries)} entries, "
@@ -272,7 +277,8 @@ def cmd_verify(args) -> int:
         return 0
     if schema.startswith("certificate/"):
         # no certificate type is re-derived yet, so none may pass
-        kind = data.get("body", {}).get("_type", "unknown")
+        body = data.get("body")
+        kind = body.get("_type", "unknown") if isinstance(body, dict) else "unknown"
         print(f"FAIL no re-check for certificate type {kind}", file=sys.stderr)
         return 1
     print(f"FAIL unknown artifact schema {schema!r}", file=sys.stderr)

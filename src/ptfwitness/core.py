@@ -1,9 +1,10 @@
 """Exact arithmetic core.
 
 Finite integer domains (boxes, hypercubes, weight slices), finitely
-supported rational-valued functions on them, orthogonal content, the
-Fourier transform on the hypercube, and symmetrization.  Everything here
-is exact: values are `fractions.Fraction` and no operation rounds.  Table
+supported rational-valued functions on them, orthogonal content, and
+symmetrization; there is no Fourier transform here (the pattern-matrix
+norm takes its own integer one in `matrix_bounds`).  Everything here is
+exact: values are `fractions.Fraction` and no operation rounds.  Table
 arithmetic (scaling, sums, totals and l1 norms) runs on integer
 numerators: each input table is cleared once to numerators over its least
 common denominator (`cleared`), the result is computed in integers, and
@@ -391,29 +392,6 @@ def orth(f: FnTable, cap: int | None = None) -> int | None:
         if sum(row):
             return d
     return None
-
-
-def chi(S: frozenset[int], p: Point) -> int:
-    s = sum(p[i] for i in S)
-    return -1 if s % 2 else 1
-
-
-def fourier(f: FnTable) -> dict[frozenset[int], Fraction]:
-    """All 2^n character coefficients of a function on the full hypercube."""
-    if not f.domain.is_hypercube:
-        raise PreconditionError("fourier transform requires a full hypercube domain")
-    n = f.domain.n
-    scale = Fraction(1, 2 ** n)
-    out: dict[frozenset[int], Fraction] = {}
-    for comb_S in itertools.chain.from_iterable(
-        itertools.combinations(range(n), k) for k in range(n + 1)
-    ):
-        S = frozenset(comb_S)
-        acc = Fraction(0)
-        for p, v in f.entries.items():
-            acc += v * chi(S, p)
-        out[S] = acc * scale
-    return out
 
 
 def _check_partition(blocks: tuple[tuple[int, ...], ...], n: int) -> None:

@@ -2,10 +2,11 @@
 and pattern-matrix sign-rank lower bounds.
 
 Every bound here is decided in rational arithmetic.  The pattern-matrix
-norm is the closed form, checked on every call against the exact
-Walsh-Hadamard spectrum of A A^T computed in integers.  The Forster bound
-rests on a rational lambda >= ||A||^2, certified by an exact
-positive-definiteness test of lambda I - G for the smaller Gram matrix G.
+norm is the closed form, read from the integer Walsh-Hadamard transform of
+phi, and checked on every call against the spectrum of A A^T, which the
+same integer transform computes.  The Forster bound rests on a rational
+lambda >= ||A||^2, certified by an exact positive-definiteness test of
+lambda I - G for the smaller Gram matrix G.
 The pattern-matrix bound re-checks its smooth witness against its own f.
 """
 
@@ -17,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 
 from .brackets import sqrt_brackets, sqrt_lower
-from .core import FnTable, as_rat, cleared, fourier
+from .core import FnTable, as_rat, cleared
 from .errors import PreconditionError, VerificationError
 from .linalg import matrix_rank, positive_definite
 from .oracles import DegreeAnswer, check_smooth_witness
@@ -30,83 +31,75 @@ MAX_PATTERN_ENTRIES = 1 << 22
 FORSTER_BITS = 32
 
 
-@dataclass(frozen=True)
-class PatternMatrix:
-    """The (N, n, phi)-pattern matrix: rows indexed by strings x of length
-    N, columns by (one position per block V, shift mask w) pairs, entries
-    phi(x_V xor w)."""
-
-    N: int
-    n: int
-    phi: FnTable
-
-    def __post_init__(self):
-        if self.N % self.n:
-            raise PreconditionError("block structure needs n | N")
-        if not self.phi.domain.is_hypercube or self.phi.domain.n != self.n:
-            raise PreconditionError("phi must live on the n-dimensional hypercube")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        b = self.N // self.n
-        return 2 ** self.N, b ** self.n * 2 ** self.n
-
-
 @dataclass
 class SpectralResult:
     norm_sq: Fraction  # exact square of the spectral norm
     argmax: frozenset[int]
 
 
-def _pattern_spectrum_max(phi: FnTable, N: int, n: int) -> Fraction:
-    """Largest eigenvalue of A A^T for the (N, n, phi)-pattern matrix A.
+def _walsh_hadamard(v: list[int]) -> list[int]:
+    """The integer Walsh-Hadamard transform of v, len(v) a power of 2:
+    entry s of the result is sum_w v[w] (-1)^popcount(s & w)."""
+    v = list(v)
+    h = 1
+    while h < len(v):
+        for start in range(0, len(v), 2 * h):
+            for j in range(start, start + h):
+                v[j], v[j + h] = v[j] + v[j + h], v[j] - v[j + h]
+        h *= 2
+    return v
+
+
+def _pattern_spectrum_max(g: list[int], den: int, N: int, n: int) -> Fraction:
+    """Largest eigenvalue of A A^T for the (N, n, g / den)-pattern matrix A.
 
     (A A^T)[x, x'] = k(x xor x') for the kernel row k(z) = <A[0], A[z]>, so
-    the eigenvalues are the Walsh-Hadamard transform of k.  With phi scaled
-    to integers g = den * phi and c(y) = sum_w g(w) g(w xor y), the row
-    den^2 k(z) = sum_V c(z_V) and its transform are integers.
+    the eigenvalues are the Walsh-Hadamard transform of k.  With
+    c(y) = sum_w g(w) g(w xor y), the row den^2 k(z) = sum_V c(z_V) and its
+    transform are integers.
     """
     b = N // n
-    nums, den = cleared(phi.entries.values())
-    g = [0] * (1 << n)
-    for p, v in zip(phi.entries, nums):
-        g[sum(bit << i for i, bit in enumerate(p))] = v
     corr = [sum(g[w] * g[w ^ y] for w in range(1 << n)) for y in range(1 << n)]
     selections = list(itertools.product(*(range(i * b, (i + 1) * b) for i in range(n))))
-    spec = [sum(corr[sum(((z >> v) & 1) << i for i, v in enumerate(V))] for V in selections)
-            for z in range(1 << N)]
-    h = 1
-    while h < len(spec):
-        for start in range(0, len(spec), 2 * h):
-            for j in range(start, start + h):
-                spec[j], spec[j + h] = spec[j] + spec[j + h], spec[j] - spec[j + h]
-        h *= 2
+    spec = _walsh_hadamard(
+        [sum(corr[sum(((z >> v) & 1) << i for i, v in enumerate(V))] for V in selections)
+         for z in range(1 << N)])
     return F(max(spec), den * den)
 
 
 def pattern_spectral_norm(phi: FnTable, N: int, n: int) -> SpectralResult:
-    """Spectral norm of the (N, n, phi)-pattern matrix.
+    """Spectral norm of the (N, n, phi)-pattern matrix: rows indexed by
+    strings x of length N, columns by (one position per block V, shift mask
+    w) pairs, entries phi(x_V xor w), for n | N and phi on the n-cube.
 
     The square of the norm is the exact rational
     2^(N+n) (N/n)^n  max_S  phi_hat(S)^2 (n/N)^|S|,
     checked for exact equality with the largest eigenvalue of A A^T from
-    _pattern_spectrum_max.  Matrices with more than MAX_PATTERN_ENTRIES
+    _pattern_spectrum_max.  argmax is the first maximal S by |S|, then in
+    combinations order.  Matrices with more than MAX_PATTERN_ENTRIES
     entries are refused.
     """
-    pm = PatternMatrix(N, n, phi)
-    rows, cols = pm.shape
+    if not phi.domain.is_hypercube or phi.domain.n != n:
+        raise PreconditionError("phi must live on the n-dimensional hypercube")
+    if N < 1 or N % n:
+        raise PreconditionError("block structure needs N >= 1 and n | N")
+    rows, cols = 2 ** N, (N // n) ** n * 2 ** n
     if rows * cols > MAX_PATTERN_ENTRIES:
         raise PreconditionError(f"pattern matrix of size {rows}x{cols} too large")
-    coeffs = fourier(phi)
-    b = F(N, n)
-    best = None
-    best_S = frozenset()
-    for S, c in coeffs.items():
-        val = c * c / b ** len(S)
-        if best is None or val > best:
-            best, best_S = val, S
-    norm_sq = F(2 ** (N + n)) * b ** n * best
-    spectrum_max = _pattern_spectrum_max(phi, N, n)
+    nums, den = cleared(phi.entries.values())
+    g = [0] * (1 << n)
+    for p, v in zip(phi.entries, nums):
+        g[sum(bit << i for i, bit in enumerate(p))] = v
+    ghat = _walsh_hadamard(g)
+    # phi_hat(S)^2 (n/N)^|S| = ghat(S)^2 n^|S| N^(n-|S|) / (4^n den^2 N^n)
+    best, best_S = -1, frozenset()
+    for k in range(n + 1):
+        for S in itertools.combinations(range(n), k):
+            val = ghat[sum(1 << i for i in S)] ** 2 * n ** k * N ** (n - k)
+            if val > best:
+                best, best_S = val, frozenset(S)
+    norm_sq = F(best << (N - n), den * den * n ** n)
+    spectrum_max = _pattern_spectrum_max(g, den, N, n)
     if spectrum_max != norm_sq:
         raise VerificationError(
             f"spectral norm mismatch: closed form {norm_sq} vs spectrum {spectrum_max}")

@@ -14,7 +14,11 @@ pow2_brackets with both sides in one integer digit loop;
 select_heavy_set on Fraction magnitudes; and serialize's two-step
 writer, which copied each object into a tree of dicts, lists and "p/q"
 strings (`to_jsonable`) and passed that tree to `json.dumps` with sorted
-keys (`tree_dumps`)."""
+keys (`tree_dumps`); the per-point circuit evaluation `evaluate`, which
+truth tables called once per point, and the De Morgan dual `negated`,
+both CircuitDesc methods; and the Fraction Fourier transform (`chi`,
+`fourier`) with the pattern-matrix closed form that read it
+(`PatternMatrix`, `fraction_pattern_spectral_norm`)."""
 
 import dataclasses
 import itertools
@@ -22,7 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ptfwitness.brackets import (
     POW2_BITS,
@@ -32,9 +36,10 @@ from ptfwitness.brackets import (
     one_plus_ln_brackets,
     sqrt_lower,
 )
-from ptfwitness.circuits import CircuitDesc
+from ptfwitness.circuits import CircuitDesc, Gate, Ref
 from ptfwitness.core import Domain, FnTable, Point, as_int, as_rat, cleared, smoothness_constant
 from ptfwitness.errors import ConstructionError, PreconditionError
+from ptfwitness.matrix_bounds import MAX_PATTERN_ENTRIES, SpectralResult
 from ptfwitness.mixtures import DENSIFY_LIMIT, ProductMixture
 from ptfwitness.serialize import SCHEMA_VERSION, frac_str
 from ptfwitness.smooth_ops import HeavySet, _ball_points
@@ -427,3 +432,97 @@ def circuit_to_json(c: CircuitDesc) -> dict:
             "n_inputs": c.n_inputs,
             "gates": [[g.op, [list(r) for r in g.children]] for g in c.gates],
             "output": list(c.output)}
+
+
+def evaluate(self: CircuitDesc, x: Sequence[int]) -> int:
+    if len(x) != self.n_inputs:
+        raise PreconditionError("arity mismatch")
+    vals: list[int] = []
+
+    def ref_val(ref: Ref) -> int:
+        if ref[0] == "lit":
+            _, var, neg = ref
+            return 1 - x[var] if neg else x[var]
+        return vals[ref[1]]
+
+    for g in self.gates:
+        bits = [ref_val(r) for r in g.children]
+        vals.append(int(all(bits)) if g.op == "and" else int(any(bits)))
+    return ref_val(self.output)
+
+
+def negated(self: CircuitDesc) -> CircuitDesc:
+    """De Morgan dual: same DAG with ops swapped and literals negated."""
+    out = CircuitDesc(self.n_inputs)
+    for g in self.gates:
+        kids = tuple(("lit", r[1], not r[2]) if r[0] == "lit" else r for r in g.children)
+        out.gates.append(Gate("or" if g.op == "and" else "and", kids))
+    if self.output[0] == "lit":
+        out.output = ("lit", self.output[1], not self.output[2])
+    else:
+        out.output = self.output
+    return out
+
+
+def chi(S: frozenset[int], p: Point) -> int:
+    s = sum(p[i] for i in S)
+    return -1 if s % 2 else 1
+
+
+def fourier(f: FnTable) -> dict[frozenset[int], Fraction]:
+    """All 2^n character coefficients of a function on the full hypercube."""
+    if not f.domain.is_hypercube:
+        raise PreconditionError("fourier transform requires a full hypercube domain")
+    n = f.domain.n
+    scale = Fraction(1, 2 ** n)
+    out: dict[frozenset[int], Fraction] = {}
+    for comb_S in itertools.chain.from_iterable(
+        itertools.combinations(range(n), k) for k in range(n + 1)
+    ):
+        S = frozenset(comb_S)
+        acc = Fraction(0)
+        for p, v in f.entries.items():
+            acc += v * chi(S, p)
+        out[S] = acc * scale
+    return out
+
+
+@dataclass(frozen=True)
+class PatternMatrix:
+    """The (N, n, phi)-pattern matrix: rows indexed by strings x of length
+    N, columns by (one position per block V, shift mask w) pairs, entries
+    phi(x_V xor w)."""
+
+    N: int
+    n: int
+    phi: FnTable
+
+    def __post_init__(self):
+        if self.N % self.n:
+            raise PreconditionError("block structure needs n | N")
+        if not self.phi.domain.is_hypercube or self.phi.domain.n != self.n:
+            raise PreconditionError("phi must live on the n-dimensional hypercube")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        b = self.N // self.n
+        return 2 ** self.N, b ** self.n * 2 ** self.n
+
+
+def fraction_pattern_spectral_norm(phi: FnTable, N: int, n: int) -> SpectralResult:
+    """The closed form of pattern_spectral_norm over `fourier`, without its
+    comparison against the spectrum of A A^T."""
+    pm = PatternMatrix(N, n, phi)
+    rows, cols = pm.shape
+    if rows * cols > MAX_PATTERN_ENTRIES:
+        raise PreconditionError(f"pattern matrix of size {rows}x{cols} too large")
+    coeffs = fourier(phi)
+    b = F(N, n)
+    best = None
+    best_S = frozenset()
+    for S, c in coeffs.items():
+        val = c * c / b ** len(S)
+        if best is None or val > best:
+            best, best_S = val, S
+    norm_sq = F(2 ** (N + n)) * b ** n * best
+    return SpectralResult(norm_sq=norm_sq, argmax=best_S)

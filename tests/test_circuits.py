@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from exact_references import evaluate, negated
 from ptfwitness.amplification import _floor_cbrt, _round_sqrt, build_fkn
 from ptfwitness.circuits import (
     CircuitDesc,
@@ -22,7 +24,7 @@ F = Fraction
 def test_literal_depth_zero():
     c = literal(3, 1)
     assert c.depth() == 0 and c.size() == 0
-    assert c.evaluate((0, 1, 0)) == 1
+    assert c.truth_table()((0, 1, 0)) == 1
 
 
 def test_mp_structure_and_semantics():
@@ -31,9 +33,10 @@ def test_mp_structure_and_semantics():
     assert c.size() == 3
     assert c.bottom_fanin() == 2
     assert c.is_monotone()
-    assert c.evaluate((1, 0, 0, 1)) == 1
-    assert c.evaluate((0, 0, 0, 1)) == 0
-    assert mp(1, 1).evaluate((1,)) == 1 and mp(1, 1).evaluate((0,)) == 0
+    table = c.truth_table()
+    assert table((1, 0, 0, 1)) == 1
+    assert table((0, 0, 0, 1)) == 0
+    assert mp(1, 1).truth_table().entries == {(1,): 1}
 
 
 def test_mp_star_blocks_matches_per_block_lookups():
@@ -57,7 +60,35 @@ def test_truth_table_matches_eval():
     c = mp(2, 2)
     table = c.truth_table()
     for p in hypercube(4).points():
-        assert table(p) == c.evaluate(p)
+        assert table(p) == evaluate(c, p)
+
+
+@st.composite
+def circuits(draw):
+    """A random DAG on n <= 6 inputs: every gate reads literals of either
+    sign and earlier gates, which later gates may share, and the output is
+    any gate or literal."""
+    n = draw(st.integers(1, 6))
+    c = CircuitDesc(n)
+    literal_refs = st.tuples(st.just("lit"), st.integers(0, n - 1), st.booleans())
+    for i in range(draw(st.integers(0, 8))):
+        gates = st.tuples(st.just("gate"), st.integers(0, i - 1))
+        refs = literal_refs | gates if i else literal_refs
+        c.add_gate(draw(st.sampled_from(("and", "or"))),
+                   draw(st.lists(refs, min_size=1, max_size=4)))
+    gates = st.tuples(st.just("gate"), st.integers(0, len(c.gates) - 1))
+    c.output = draw(literal_refs | gates if c.gates else literal_refs)
+    return c
+
+
+@given(circuits())
+@settings(max_examples=150, deadline=None)
+def test_gatewise_truth_table_matches_pointwise_reference(c):
+    table = c.truth_table()
+    assert table.domain == hypercube(c.n_inputs)
+    # the 1-points in the order of the domain's enumeration, as the reference lists them
+    assert list(table.entries) == [p for p in hypercube(c.n_inputs).points() if evaluate(c, p)]
+    assert all(v == 1 for v in table.entries.values())
 
 
 def test_merge_like_gates():
@@ -70,9 +101,11 @@ def test_merge_like_gates():
 
 def test_negated_circuit():
     c = mp(2, 2)
-    neg = c.negated()
+    neg = negated(c)
+    table, neg_table = c.truth_table(), neg.truth_table()
     for p in hypercube(4).points():
-        assert neg.evaluate(p) == 1 - c.evaluate(p)
+        assert evaluate(neg, p) == 1 - evaluate(c, p)
+        assert neg_table(p) == 1 - table(p)
 
 
 def test_surj_tables():
@@ -98,10 +131,10 @@ def test_krause_pudlak_single_variable():
     lifted = krause_pudlak(f)
     assert lifted.n_inputs == 3
     # (not z and x) or (z and y)
-    assert lifted.evaluate((1, 0, 0)) == 1
-    assert lifted.evaluate((1, 0, 1)) == 0
-    assert lifted.evaluate((0, 1, 1)) == 1
     table = lifted.truth_table()
+    assert table((1, 0, 0)) == 1
+    assert table((1, 0, 1)) == 0
+    assert table((0, 1, 1)) == 1
     ans = threshold_density(table, cap=1)
     assert ans.value >= 2  # at least 2^degthr(x1)
 

@@ -55,8 +55,7 @@ def test_mixture_roundtrip():
 def test_circuit_roundtrip():
     c = mp(2, 2)
     back = circuit_from_json(json.loads(dumps(c)))
-    for p in [(0, 0, 0, 0), (1, 0, 0, 1), (1, 1, 1, 1)]:
-        assert back.evaluate(p) == c.evaluate(p)
+    assert back == c and back.truth_table() == c.truth_table()
 
 
 def test_certificate_serializes():
@@ -119,6 +118,11 @@ def test_cli_verify_fails_unchecked_certificate(tmp_path, capsys):
     assert main(["verify", str(out / "psi.cert.json")]) == 1
     assert capsys.readouterr().err.strip() == \
         "FAIL no re-check for certificate type PsiCertificate"
+    # a body or schema of the wrong JSON type fails too, without a traceback
+    assert main(["verify", _raw_artifact(tmp_path, '{"schema": "certificate/1", "body": []}')]) == 1
+    assert capsys.readouterr().err.strip() == "FAIL no re-check for certificate type unknown"
+    assert main(["verify", _raw_artifact(tmp_path, '{"schema": 5}')]) == 1
+    assert capsys.readouterr().err.strip() == "FAIL unknown artifact schema '5'"
 
 
 def _table_artifact(tmp_path, edit):
@@ -167,14 +171,29 @@ def _circuit_artifact(tmp_path, edit):
     return str(path)
 
 
+def _raw_artifact(tmp_path, text):
+    path = tmp_path / "raw.json"
+    path.write_text(text)
+    return str(path)
+
+
 @pytest.mark.parametrize("artifact", [
     lambda tmp: _table_artifact(tmp, lambda d: d["entries"][0].pop()),
     lambda tmp: _table_artifact(tmp, lambda d: d["entries"][0].append("1/2")),
     lambda tmp: _table_artifact(tmp, lambda d: d["domain"].update(window=[0])),
     lambda tmp: _table_artifact(tmp, lambda d: d.pop("domain")),
     lambda tmp: _circuit_artifact(tmp, lambda d: d["gates"].__setitem__(0, ["and"])),
+    lambda tmp: _circuit_artifact(tmp, lambda d: d.update(output=["lit", 0])),
+    lambda tmp: _circuit_artifact(tmp, lambda d: d.update(output=[])),
+    lambda tmp: _circuit_artifact(tmp, lambda d: d["gates"][2][1].__setitem__(0, ["gate"])),
+    lambda tmp: _circuit_artifact(tmp, lambda d: d["gates"][0][1].__setitem__(0, ["lit", "0", False])),
+    lambda tmp: _circuit_artifact(tmp, lambda d: d.update(output=["lit", 0, "yes"])),
+    lambda tmp: _raw_artifact(tmp, "[]"),
+    lambda tmp: _raw_artifact(tmp, "not json {"),
 ], ids=["entry-without-value", "entry-with-third-element", "one-element-window",
-        "missing-domain", "gate-without-children"])
+        "missing-domain", "gate-without-children", "two-item-literal", "empty-output",
+        "gate-without-index", "string-variable", "string-negation", "top-level-list",
+        "not-json"])
 def test_cli_verify_rejects_malformed_artifacts(tmp_path, capsys, artifact):
     code = main(["verify", artifact(tmp_path)])
     captured = capsys.readouterr()

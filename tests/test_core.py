@@ -7,16 +7,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exact_references import inner_product
+from exact_references import chi, fourier, inner_product
 from monomial_tables import monomial_table
 from ptfwitness.core import (
     Domain,
     FnTable,
     as_rat,
     box,
-    chi,
     eval_monomial,
-    fourier,
     hypercube,
     least_poly_degree,
     lift_symmetric_to_cube,

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from exact_references import check_concentration, mixture_value, verify_cap_ball
+from exact_references import check_concentration, fourier, mixture_value, negated, verify_cap_ball
 from ptfwitness.amplification import booleanize, min_smooth_amplify
 from ptfwitness.brackets import pow2_brackets
-from ptfwitness.core import FnTable, box, fourier, hypercube, orth, point_mass, uniform
+from ptfwitness.core import FnTable, box, hypercube, orth, point_mass, uniform
 from ptfwitness.dual_mp import build_mp_smooth_witness, build_or_gadget
 from ptfwitness.corrector import build_zeta_cube, build_zeta_u, corrector_levels
 from ptfwitness.dual_or import build_omega, build_psi, default_delta, default_weights
@@ -114,11 +114,10 @@ def test_circuit_de_morgan_dual_preserves_degthr():
 
     c = mp(2, 2)
     table = c.truth_table()
-    dual = c.negated()  # complement; compose with input flip for the dual
+    complement = negated(c).truth_table()  # compose with input flip for the dual
     dom = hypercube(4)
     dual_table = bool_table(
-        dom, (p for p in dom.points()
-              if dual.evaluate(tuple(1 - b for b in p))))
+        dom, (p for p in dom.points() if complement(tuple(1 - b for b in p))))
     assert threshold_degree(table).value == threshold_degree(dual_table).value
 
 

@@ -29,7 +29,7 @@ from exact_references import (
 from ptfwitness.brackets import pow2_bound, pow2_brackets
 from ptfwitness.core import Domain, FnTable, add_scaled, merge_domains
 from ptfwitness.errors import PreconditionError
-from ptfwitness.mixtures import ProductMixture
+from ptfwitness.mixtures import DENSIFY_LIMIT, ProductMixture
 from ptfwitness.oracles import twist
 from ptfwitness.smooth_ops import select_heavy_set
 
@@ -173,15 +173,28 @@ def fraction_power(f: FnTable, m: int) -> FnTable:
 def test_tensor_power_matches_fraction_reference(pair, m, a, b):
     f, g = pair
     # one term: f^(x)m
-    same_product(densify_product({"f": f}, ("f",) * m), fraction_power(f, m))
+    check_product(ProductMixture({"f": f}, [(F(1), ("f",) * m)]), lambda: fraction_power(f, m))
+
     # two terms: a f^(x)m + b g^(x)m on the box that holds both
-    mix = ProductMixture({"f": f, "g": g}, [(a, ("f",) * m), (b, ("g",) * m)])
-    want = {}
-    fraction_add_scaled(want, a, fraction_power(f, m).entries)
-    fraction_add_scaled(want, b, fraction_power(g, m).entries)
-    pos = f.domain if f.domain == g.domain else merge_domains(f.domain, g.domain)
-    same_product(mix.densify(), FnTable(Domain(pos.bounds * m, pos.offset * m), want,
-                                        _trusted=True))
+    def two_terms():
+        want = {}
+        fraction_add_scaled(want, a, fraction_power(f, m).entries)
+        fraction_add_scaled(want, b, fraction_power(g, m).entries)
+        pos = f.domain if f.domain == g.domain else merge_domains(f.domain, g.domain)
+        return FnTable(Domain(pos.bounds * m, pos.offset * m), want, _trusted=True)
+
+    check_product(ProductMixture({"f": f, "g": g}, [(a, ("f",) * m), (b, ("g",) * m)]),
+                  two_terms)
+
+
+def check_product(mix: ProductMixture, want) -> None:
+    """mix.densify() equals the table want() builds; past DENSIFY_LIMIT
+    points the product is refused instead, never truncated."""
+    if mix.ambient_domain().size() > DENSIFY_LIMIT:
+        with pytest.raises(PreconditionError, match="dense table"):
+            mix.densify()
+    else:
+        same_product(mix.densify(), want())
 
 
 @st.composite

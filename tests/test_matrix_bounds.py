@@ -2,13 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from exact_references import PatternMatrix, chi, fourier, fraction_pattern_spectral_norm
 from ptfwitness import matrix_bounds
-from ptfwitness.core import FnTable, chi, fourier, hypercube
+from ptfwitness.core import FnTable, box, cleared, hypercube
 from ptfwitness.errors import PreconditionError, VerificationError
 from ptfwitness.matrix_bounds import (
-    PatternMatrix,
+    _walsh_hadamard,
     forster_bound,
     pattern_spectral_norm,
     signrank_lb_pattern,
@@ -49,6 +50,8 @@ def test_pattern_norm_single_variable_sign():
 def test_pattern_norm_block_mismatch():
     with pytest.raises(PreconditionError):
         pattern_spectral_norm(const_one(2), 3, 2)
+    with pytest.raises(PreconditionError):  # no blocks at all
+        pattern_spectral_norm(const_one(2), 0, 2)
 
 
 def test_pattern_matrix_shape():
@@ -64,9 +67,70 @@ def test_pattern_norm_too_large():
 
 def test_pattern_norm_mismatch_raises(monkeypatch):
     monkeypatch.setattr(matrix_bounds, "_pattern_spectrum_max",
-                        lambda phi, N, n: F(2 ** 3 * 2) + F(1, 10 ** 9))
+                        lambda g, den, N, n: F(2 ** 3 * 2) + F(1, 10 ** 9))
     with pytest.raises(VerificationError):
         pattern_spectral_norm(const_one(1), 2, 1)
+
+
+@st.composite
+def signed_tables(draw, n):
+    """A table on the n-cube with few distinct values, so that several
+    character coefficients often tie."""
+    pts = list(hypercube(n).points())
+    values = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4)])
+    return FnTable(hypercube(n), {p: v for p, v in zip(pts, draw(st.lists(
+        values, min_size=len(pts), max_size=len(pts))))})
+
+
+@given(st.integers(1, 4).flatmap(signed_tables))
+@settings(max_examples=60, deadline=None)
+def test_walsh_hadamard_matches_fraction_fourier(phi):
+    n = phi.domain.n
+    nums, den = cleared(phi.entries.values())
+    g = [0] * (1 << n)
+    for p, v in zip(phi.entries, nums):
+        g[sum(bit << i for i, bit in enumerate(p))] = v
+    ghat = _walsh_hadamard(g)
+    for S, c in fourier(phi).items():
+        assert ghat[sum(1 << i for i in S)] == c * den * 2 ** n
+
+
+@st.composite
+def pattern_inputs(draw):
+    """(phi, N, n), mostly valid, sometimes breaking one precondition:
+    n not dividing N, phi on another domain, or too many entries."""
+    n = draw(st.integers(1, 3))
+    N = n * draw(st.integers(1, 6 // n))
+    phi = draw(signed_tables(n))
+    broken = draw(st.sampled_from(["none"] * 4 + ["divides", "domain", "box", "size"]))
+    if broken == "divides" and n > 1:
+        N += 1
+    elif broken == "domain":
+        phi = draw(signed_tables(n % 3 + 1))
+    elif broken == "box":
+        phi = FnTable(box([2] * n), {(2,) * n: F(1)})
+    elif broken == "size":
+        N = n * (22 // n + 1)
+    return phi, N, n
+
+
+chi_0_plus_chi_1 = FnTable(hypercube(2), {(0, 0): F(2), (1, 1): F(-2)})
+
+
+@given(pattern_inputs())
+@example((chi_0_plus_chi_1, 4, 2))  # phi_hat ties at {0} and {1}; argmax is {0}
+@example((FnTable(hypercube(2)), 2, 2))  # every coefficient ties at 0
+@settings(max_examples=120, deadline=None)
+def test_pattern_norm_matches_fraction_closed_form(case):
+    phi, N, n = case
+    try:
+        want = fraction_pattern_spectral_norm(phi, N, n)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            pattern_spectral_norm(phi, N, n)
+        return
+    got = pattern_spectral_norm(phi, N, n)
+    assert (got.norm_sq, got.argmax) == (want.norm_sq, want.argmax)
 
 
 def test_forster_character_matrix():

@@ -30,11 +30,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact_references import chi
 from lp_forms import standard_form
 from monomial_tables import monomial_table
 from ptfwitness import lp, oracles
 from ptfwitness.circuits import mp_table
-from ptfwitness.core import Domain, FnTable, chi, hypercube, weight_slice
+from ptfwitness.core import Domain, FnTable, hypercube, weight_slice
 from ptfwitness.errors import ArtifactError, PreconditionError, VerificationError
 from ptfwitness.lp import LPCertificate
 from ptfwitness.oracles import (
