@@ -41,6 +41,7 @@ from .core import (
     FnTable,
     as_rat,
     box,
+    combine,
     hypercube,
     least_poly_degree,
     orth,
@@ -292,12 +293,8 @@ def z_degree_of_expectations(tables: dict[Point, FnTable],
     cube = hypercube(len(next(iter(tables))))
     if len(tables) != cube.size() or not all(cube.contains(z) for z in tables):
         raise PreconditionError("expectations must cover the whole hypercube")
-    values = {}
-    for z, table in tables.items():
-        acc = F(0)
-        for p, w in table.entries.items():
-            acc += w * eval_poly(poly, p)
-        values[z] = acc
+    values = {z: sum((w * eval_poly(poly, p) for p, w in table.entries.items()), F(0))
+              for z, table in tables.items()}
     return least_poly_degree(FnTable(cube, values))
 
 
@@ -396,11 +393,8 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
                 raise ConstructionError("stage tails: support escaped its preimage")
 
     # stage phi: the signed average must be nonzero on the whole cap region
-    phi: FnTable | None = None
-    for z, table in tilde.items():
-        signed = table.scale(F((-1) ** f(z), 2 ** n))
-        phi = signed if phi is None else phi + signed
-    phi = FnTable(big, phi.entries)
+    phi = FnTable(big, combine(big, [(F((-1) ** f(z), 2 ** n), table.entries)
+                                     for z, table in tilde.items()]).entries)
     region = [p for p in big.points() if sum(p) <= theta]
     if any(phi(p) == 0 for p in region):
         raise ConstructionError("stage phi: signed average vanishes inside the cap")
@@ -417,11 +411,8 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
         raise type(exc)(f"stage redistribute: {exc}") from exc
 
     # stage final: mix the outer witness in and normalize
-    final: FnTable | None = None
-    for z, table in tilde.items():
-        signed = table.scale(mu(z) * F((-1) ** f(z)))
-        final = signed if final is None else final + signed
-    final = final + phi.scale(-gamma) + phi_star.scale(gamma)
+    final = combine(big, [(mu(z) * (-1) ** f(z), table.entries) for z, table in tilde.items()]
+                    + [(-gamma, phi.entries), (gamma, phi_star.entries)])
     twisted_final = twist(final, compose_table(f, m, R, theta))
     if not twisted_final.is_nonnegative():
         raise ConstructionError("stage final: sign agreement failed")
@@ -435,10 +426,7 @@ def min_smooth_amplify(f: FnTable, mu: FnTable, m: int, r: int, R: int,
     claimed = min(d_f * d_mp, d + 1)
     if orth(final, cap=claimed - 1) is not None:
         raise ConstructionError("stage final: orthogonality fell short")
-    factor = None
-    for p, w in lam_star.entries.items():
-        ratio = lam(p) / w
-        factor = ratio if factor is None else min(factor, ratio)
+    factor = min(lam(p) / w for p, w in lam_star.entries.items())
     guaranteed = gamma * rd_cert.min_smooth_factor / norm
     if factor < guaranteed:
         raise ConstructionError("stage final: min-smoothness fell short")

@@ -1,16 +1,15 @@
 """Exact arithmetic core.
 
 Finite integer domains (boxes, hypercubes, weight slices), finitely
-supported rational-valued functions on them, orthogonal content, and
-symmetrization; there is no Fourier transform here (the pattern-matrix
-norm takes its own integer one in `matrix_bounds`).  Everything here is
-exact: values are `fractions.Fraction` and no operation rounds.  Table
-arithmetic (scaling, sums, totals and l1 norms) runs on integer
-numerators: each input table is cleared once to numerators over its least
-common denominator (`cleared`), the result is computed in integers, and
-exactly one Fraction is built per output value.  Tensor products are
-`mixtures.ProductMixture` terms, expanded by its `densify`; sign twists
-are `oracles.twist`.
+supported rational-valued tables on them, orthogonal content, and
+symmetrization.  Everything is exact: values are `fractions.Fraction`
+and no operation rounds.  Every linear combination of tables, `scale`,
+`+` and `-` included, is one `combine`: each term is cleared once to
+integer numerators over its least common denominator (`cleared`), each
+point sums ints over the lcm of the term denominators, and one Fraction
+is built per point that does not cancel.  Totals and l1 norms clear
+their table once too.  Tensor products are `mixtures.ProductMixture`
+terms, expanded by its `densify`; sign twists are `oracles.twist`.
 """
 
 from __future__ import annotations
@@ -155,30 +154,29 @@ def cleared(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def add_scaled(acc: dict[Point, Fraction], c, entries: Mapping[Point, Fraction]) -> None:
-    """acc += c * entries, in place, dropping every point that cancels to zero.
+def combine(domain: Domain, terms: Iterable[tuple[object, Mapping[Point, Fraction]]]) -> "FnTable":
+    """The table sum_i c_i * entries_i on `domain`, for (c_i, entries_i) in
+    `terms`; each c_i passes `as_rat`.  Points are not checked against the
+    domain: callers that need the check construct a validating FnTable.
 
-    c * entries is cleared once to integer numerators over one denominator
-    `den`; a touched point's sum a/b + v/den is the integer a*den + v*b over
-    b*den, and becomes one new Fraction."""
-    c = as_rat(c)
-    if not c:
-        return
-    nums, den = cleared(list(entries.values()))
-    cn, den = c.numerator, c.denominator * den
-    for p, v in zip(entries, nums):
-        if not v:
-            continue
-        w = acc.get(p)
-        if w is None:
-            acc[p] = Fraction(cn * v, den)
-            continue
-        b = w.denominator
-        v = w.numerator * den + cn * v * b
-        if v:
-            acc[p] = Fraction(v, b * den)
-        else:
-            del acc[p]
+    Each term c * entries is cleared once to integer numerators over one
+    denominator, every point accumulates an int over the lcm of the term
+    denominators, and exactly one Fraction is built per point that does
+    not cancel to zero."""
+    parts = []
+    for c, entries in terms:
+        c = as_rat(c)
+        if c and entries:
+            nums, den = cleared(list(entries.values()))
+            parts.append((entries, c.numerator, c.denominator * den, nums))
+    den = lcm(*[d for _, _, d, _ in parts])
+    acc: dict[Point, int] = {}
+    get = acc.get
+    for entries, cn, d, nums in parts:
+        k = cn * (den // d)
+        for p, v in zip(entries, nums):
+            acc[p] = get(p, 0) + k * v
+    return FnTable(domain, {p: Fraction(v, den) for p, v in acc.items() if v}, _trusted=True)
 
 
 class FnTable:
@@ -243,13 +241,7 @@ class FnTable:
         return self.is_nonnegative() and self.total() == 1
 
     def scale(self, a) -> "FnTable":
-        a = as_rat(a)
-        if a == 0:
-            return FnTable(self.domain, {}, _trusted=True)
-        nums, den = cleared(list(self.entries.values()))
-        an, den = a.numerator, a.denominator * den
-        return FnTable(self.domain, {p: Fraction(an * v, den) for p, v in zip(self.entries, nums)},
-                       _trusted=True)
+        return combine(self.domain, [(a, self.entries)])
 
     def __neg__(self) -> "FnTable":
         return self.scale(-1)
@@ -257,14 +249,13 @@ class FnTable:
     def _merge(self, other: "FnTable", sign: int) -> "FnTable":
         if self.domain.n != other.domain.n:
             raise PreconditionError("dimension mismatch")
-        out = dict(self.entries)
-        add_scaled(out, sign, other.entries)
         dom = self.domain if self.domain == other.domain else merge_domains(self.domain, other.domain)
+        out = combine(dom, [(1, self.entries), (sign, other.entries)])
         if dom is not self.domain:
-            for p in out:
+            for p in out.entries:
                 if not dom.contains(p):
                     raise PreconditionError(f"point {p} outside merged domain")
-        return FnTable(dom, out, _trusted=True)
+        return out
 
     def __add__(self, other: "FnTable") -> "FnTable":
         return self._merge(other, +1)

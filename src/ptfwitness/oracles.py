@@ -88,8 +88,13 @@ _SIGN_COLUMNS = ([(1, F(1))], [(-1, F(1))])
 
 
 def bool_table(domain: Domain, ones: Iterable[Point]) -> FnTable:
-    """A Boolean function as an FnTable storing its 1-points."""
-    return FnTable(domain, {tuple(p): F(1) for p in ones})
+    """A Boolean function as an FnTable storing its 1-points, which share
+    one value 1; a point outside the domain raises PreconditionError."""
+    entries = dict.fromkeys(map(tuple, ones), F(1))
+    for p in entries:
+        if not domain.contains(p):
+            raise PreconditionError(f"point {p} outside domain {domain}")
+    return FnTable(domain, entries, _trusted=True)
 
 
 def _boolean(f: FnTable) -> FnTable:
@@ -121,11 +126,7 @@ class DegreeAnswer:
 
 
 def eval_poly(coeffs: dict[Point, Fraction], p: Point) -> Fraction:
-    acc = F(0)
-    for alpha, c in coeffs.items():
-        if c:
-            acc += c * eval_monomial(p, alpha)
-    return acc
+    return sum((c * eval_monomial(p, alpha) for alpha, c in coeffs.items() if c), F(0))
 
 
 def _check_primal(q: list[Fraction], rows: list[list[int]], ends: list[Fraction],

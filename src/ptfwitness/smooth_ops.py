@@ -28,9 +28,9 @@ from .brackets import e_brackets, one_plus_ln_brackets, pow2_bound
 from .core import (
     Domain,
     FnTable,
-    add_scaled,
     as_rat,
     cleared,
+    combine,
     orth,
     smoothness_constant,
     tighten_domain,
@@ -196,17 +196,12 @@ def _anchored_zeroizer(lam: FnTable, u: Point, d: int, theta: int, K: Fraction,
         raise PreconditionError("anchor outside the box")
     ball = set(_ball_points(dom, u, d))
     targets = [p for p in dom.points() if sum(p) <= theta - d and p not in ball]
-    mass = sum((lam(p) for p in targets if lam(p)), F(0))
+    weights = [(vpt, lam(vpt)) for vpt in targets if lam(vpt)]
+    mass = sum((w for _, w in weights), F(0))
     if mass == 0:
         raise ConstructionError("no mass outside the ball; cap/ball bounds violated")
-    acc: dict[Point, Fraction] = {}
-    for vpt in targets:
-        w = lam(vpt)
-        if not w:
-            continue
-        zeta, _ = build_zeta_uv(u, vpt, d)
-        add_scaled(acc, w, zeta.entries)
-    zu = FnTable(dom, {p: v / mass for p, v in acc.items()})
+    zu = FnTable(dom, combine(dom, [(w / mass, build_zeta_uv(u, vpt, d)[0].entries)
+                                    for vpt, w in weights]).entries)
 
     diam = max(lam_diam, max(sum(abs(a - b) for a, b in zip(p, u)) for p in lam.entries))
     support_ok = all(sum(p) <= theta or p == u for p in zu.entries)
@@ -260,11 +255,9 @@ def zero_out_heavy(phi: FnTable, d: int, theta: int) -> tuple[FnTable, ZeroOutCe
         return phi, cert
     lam, low_l1, K = _cap_profile(low, theta)
     lam_diam = _diam(lam.entries)
-    acc: dict[Point, Fraction] = dict(phi.entries)
-    for u, val in sorted(heavy.items()):
-        zu, _ = _anchored_zeroizer(lam, u, d, theta, K, lam_diam)
-        add_scaled(acc, -val, zu.entries)
-    phi_t = FnTable(dom, acc, _trusted=True)
+    phi_t = combine(dom, [(1, phi.entries)] + [
+        (-val, _anchored_zeroizer(lam, u, d, theta, K, lam_diam)[0].entries)
+        for u, val in sorted(heavy.items())])
     support_ok = all(sum(p) <= theta for p in phi_t.entries)
     diff = phi - phi_t
     orth_ok = orth(diff, cap=d) is None
@@ -303,9 +296,7 @@ def _reduce_terms(mix: ProductMixture, d: int, reduce_term):
     """
     if not mix.coefficients_convex():
         raise PreconditionError("expected a convex combination")
-    total: dict[Point, Fraction] = {}
-    dense: dict[Point, Fraction] = {}
-    done = []
+    total, dense, done = [], [], []
     for coeff, labels in mix.terms:
         factors: dict[str, FnTable] = {}
         shift: Point = ()
@@ -319,12 +310,11 @@ def _reduce_terms(mix: ProductMixture, d: int, reduce_term):
         base = ProductMixture(factors, [(F(1), labels)])
         reduced, cert = reduce_term(labels, base, shift)
         done.append((shift, cert))
-        add_scaled(total, coeff, {_moved(p, shift, 1): v for p, v in reduced.entries.items()})
-        add_scaled(dense, coeff,
-                   {_moved(p, shift, 1): v for p, v in base.densify().entries.items()})
+        total.append((coeff, {_moved(p, shift, 1): v for p, v in reduced.entries.items()}))
+        dense.append((coeff, {_moved(p, shift, 1): v for p, v in base.densify().entries.items()}))
     ambient = mix.ambient_domain()
-    total_t = FnTable(ambient, total, _trusted=True)
-    dense_t = FnTable(ambient, dense, _trusted=True)
+    total_t = combine(ambient, total)
+    dense_t = combine(ambient, dense)
     orth_ok = orth(dense_t - total_t, cap=d) is None
     return total_t, dense_t, done, orth_ok
 
@@ -358,10 +348,8 @@ def zero_out_heavy_convex(mix: ProductMixture, d: int, theta: int
 
     total, dense, done, orth_ok = _reduce_terms(mix, d, reduce_term)
     support_ok = all(sum(p) <= theta and p in dense.entries for p in total.entries)
-    factor = F(0)
-    for p, v in dense.entries.items():
-        if sum(p) <= theta and v != total(p):
-            factor = max(factor, abs(v - total(p)) / abs(v))
+    factor = max((abs(v - total(p)) / abs(v) for p, v in dense.entries.items()
+                  if sum(p) <= theta and v != total(p)), default=F(0))
     cert = ConvexZeroOutCertificate(d=d, theta=theta, delta_tail=max(tails),
                                     orth_ok=orth_ok, support_ok=support_ok,
                                     pointwise_factor=factor,
@@ -413,22 +401,15 @@ def redistribute(phi: FnTable, lam_star: FnTable, d: int, theta: int
     lam, l1, K = _cap_profile(phi, theta)
     diam = _diam(phi.entries)  # lam has phi's support
     N = _zeroizer_bound(K, dom.n, d, diam)
-    acc: dict[Point, Fraction] = dict(phi.entries)
-    for u in sorted(lam_star.entries):
-        w = lam_star(u)
-        zu, _ = _anchored_zeroizer(lam, u, d, theta, K, diam)
-        sgn = 1 if phi(u) >= 0 else -1
-        add_scaled(acc, l1 / N * sgn * w, zu.entries)
-    phi_star = FnTable(dom, acc, _trusted=True)
+    phi_star = combine(dom, [(1, phi.entries)] + [
+        (l1 / N * (1 if phi(u) >= 0 else -1) * w,
+         _anchored_zeroizer(lam, u, d, theta, K, diam)[0].entries)
+        for u, w in sorted(lam_star.entries.items())])
     orth_ok = orth(phi - phi_star, cap=d) is None
     l1_ok = phi_star.l1() <= 2 * l1
     sign_ok = all(phi(p) * phi_star(p) >= 0 for p in region)
     guaranteed = l1 / N
-    actual = None
-    for p, w in lam_star.entries.items():
-        ratio = abs(phi_star(p)) / w
-        actual = ratio if actual is None else min(actual, ratio)
-    actual = actual if actual is not None else F(0)
+    actual = min((abs(phi_star(p)) / w for p, w in lam_star.entries.items()), default=F(0))
     cert = RedistributeCertificate(d=d, theta=theta, K=K, N=N, orth_ok=orth_ok,
                                    l1_ok=l1_ok, sign_ok=sign_ok,
                                    min_smooth_factor=guaranteed,
@@ -455,8 +436,7 @@ class WeightReduceCertificate:
     is_distribution: bool
 
 
-def weight_reduce(mix: ProductMixture, d: int, theta: int,
-                  family: FamilySpec | None = None,
+def weight_reduce(mix: ProductMixture, d: int, theta: int, family: FamilySpec,
                   enforce_preconditions: bool = True
                   ) -> tuple[FnTable, FnTable, WeightReduceCertificate]:
     """Weight transfer for a single product of bounded univariate
@@ -473,17 +453,10 @@ def weight_reduce(mix: ProductMixture, d: int, theta: int,
         raise PreconditionError("need theta >= 2d and d >= 1")
     labels = mix.terms[0][1]
     n = len(labels)
-    factors = [mix.factors[lab] for lab in labels]
-    preconditions_ok = True
-    if family is not None:
-        for f in factors:
-            if not family.member(f):
-                preconditions_ok = False
-        _, e_hi = e_brackets()
-        _, log_hi = one_plus_ln_brackets(n)
-        if F(theta) * family.c ** 2 < 4 * e_hi * n * log_hi:
-            preconditions_ok = False
-    else:
+    preconditions_ok = all([family.member(mix.factors[lab]) for lab in labels])
+    _, e_hi = e_brackets()
+    _, log_hi = one_plus_ln_brackets(n)
+    if F(theta) * family.c ** 2 < 4 * e_hi * n * log_hi:
         preconditions_ok = False
     if enforce_preconditions and not preconditions_ok:
         raise PreconditionError("family preconditions for weight transfer not met")
@@ -492,7 +465,7 @@ def weight_reduce(mix: ProductMixture, d: int, theta: int,
     if not dense.is_distribution():
         raise PreconditionError("expected a probability distribution")
     heavy = {p: v for p, v in dense.entries.items() if sum(p) >= 2 * theta}
-    zeta: dict[Point, Fraction] = {}
+    terms = []
     built: dict[Point, FnTable] = {}  # one anchored corrector per distinct u
     for vpt, mass_v in sorted(heavy.items()):
         hs = select_heavy_set(vpt, theta)
@@ -507,23 +480,18 @@ def weight_reduce(mix: ProductMixture, d: int, theta: int,
             for idx, coord in zip(S, w):
                 p[idx] = coord
             placed[tuple(p)] = val
-        add_scaled(zeta, mass_v, placed)
-    zeta_t = FnTable(dense.domain, zeta, _trusted=True)
+        terms.append((mass_v, placed))
+    zeta_t = combine(dense.domain, terms)
     reduced = dense - zeta_t
     support_ok = all(sum(p) < 2 * theta and p in dense.entries
                      for p in reduced.entries)
     orth_ok = (not heavy) or orth(zeta_t, cap=d) is None
-    statistical_factor = None
-    bound_lower = None
-    if family is not None:
-        statistical_factor = F(0)
-        for p, v in dense.entries.items():
-            if sum(p) < 2 * theta and zeta_t(p):
-                statistical_factor = max(statistical_factor, abs(zeta_t(p)) / v)
-        r, c, alpha = family.r, family.c, family.alpha or F(0)
-        exponent = as_rat(-(-theta // r) + alpha * -(-theta // 2) - 2)
-        pow2_hi = pow2_bound(exponent.numerator, exponent.denominator, upper=True)
-        bound_lower = F(8 * n * r, 1) ** d / c ** d / pow2_hi
+    statistical_factor = max((abs(zeta_t(p)) / v for p, v in dense.entries.items()
+                              if sum(p) < 2 * theta and zeta_t(p)), default=F(0))
+    r, c, alpha = family.r, family.c, family.alpha or F(0)
+    exponent = as_rat(-(-theta // r) + alpha * -(-theta // 2) - 2)
+    pow2_hi = pow2_bound(exponent.numerator, exponent.denominator, upper=True)
+    bound_lower = F(8 * n * r, 1) ** d / c ** d / pow2_hi
     cert = WeightReduceCertificate(
         d=d, theta=theta, support_ok=support_ok, orth_ok=orth_ok,
         statistical_factor=statistical_factor,
@@ -533,26 +501,22 @@ def weight_reduce(mix: ProductMixture, d: int, theta: int,
         is_distribution=reduced.is_distribution())
     if not (support_ok and orth_ok):
         raise ConstructionError(f"weight transfer failed its certificate: {cert}")
-    if preconditions_ok and statistical_factor is not None \
-            and bound_lower is not None and statistical_factor > bound_lower:
+    if preconditions_ok and statistical_factor > bound_lower:
         raise ConstructionError("pointwise correction exceeded the closed-form factor")
     return reduced, zeta_t, cert
 
 
-def weight_reduce_convex(mix: ProductMixture, d: int, theta: int,
-                         family: FamilySpec | None = None,
+def weight_reduce_convex(mix: ProductMixture, d: int, theta: int, family: FamilySpec,
                          enforce_preconditions: bool = True
                          ) -> tuple[FnTable, WeightReduceCertificate]:
     """Weight transfer for convex combinations of translated products of
     univariate factors: each term is reduced at the zero corner of its
     support and shifted back."""
-    base_family = None
-    if family is not None:
-        base_family = FamilySpec(kind=family.kind, r=family.r, c=family.c,
-                                 alpha=family.alpha, delta=0)
+    base_family = FamilySpec(kind=family.kind, r=family.r, c=family.c,
+                             alpha=family.alpha, delta=0)
 
     def reduce_term(labels, base, shift):
-        if family is not None and any(a - mix.factors[lab].domain.offset[0] > family.delta
+        if any(a - mix.factors[lab].domain.offset[0] > family.delta
                                       for lab, a in zip(labels, shift)):
             raise PreconditionError("factor translated beyond the family's range")
         reduced, _, cert = weight_reduce(base, d, theta, family=base_family,

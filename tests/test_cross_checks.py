@@ -14,7 +14,7 @@ from ptfwitness.corrector import build_zeta_cube, build_zeta_u, corrector_levels
 from ptfwitness.dual_or import build_omega, build_psi, default_delta, default_weights
 from ptfwitness.errors import PreconditionError
 from ptfwitness.lp import LPProblem
-from ptfwitness.mixtures import ProductMixture
+from ptfwitness.mixtures import FamilySpec, ProductMixture
 from ptfwitness.oracles import (
     Interval,
     approx_intervals,
@@ -85,7 +85,8 @@ def test_concentration_on_gadget_factors():
 def test_weight_reduce_point_mass():
     lam = FnTable(box([0]), {(0,): F(1)})
     mix = ProductMixture({"pt": lam}, [(F(1), ("pt", "pt"))])
-    reduced, zeta, cert = weight_reduce(mix, d=1, theta=2,
+    spec = FamilySpec(kind="bounded", r=1, c=F(1, 2))
+    reduced, zeta, cert = weight_reduce(mix, d=1, theta=2, family=spec,
                                         enforce_preconditions=False)
     assert zeta.is_zero() and reduced == mix.densify()
 

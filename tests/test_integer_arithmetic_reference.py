@@ -1,4 +1,5 @@
-"""The integer table arithmetic of ptfwitness.core, ProductMixture.densify,
+"""The integer table arithmetic of ptfwitness.core (`combine` and the
+table operations built on it), ProductMixture.densify,
 oracles.twist, brackets.pow2_bound and smooth_ops.select_heavy_set against
 the code they replaced (tests/exact_references.py), which did one Fraction
 operation at a time or, for the twist, built a dense +-1 table.
@@ -27,7 +28,7 @@ from exact_references import (
     two_sided_pow2_brackets,
 )
 from ptfwitness.brackets import pow2_bound, pow2_brackets
-from ptfwitness.core import Domain, FnTable, add_scaled, merge_domains
+from ptfwitness.core import Domain, FnTable, combine, merge_domains
 from ptfwitness.errors import PreconditionError
 from ptfwitness.mixtures import DENSIFY_LIMIT, ProductMixture
 from ptfwitness.oracles import twist
@@ -38,7 +39,6 @@ F = Fraction
 # denominators that share factors and denominators that do not
 rationals = st.builds(F, st.integers(-40, 40),
                       st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12, 35, 64, 10**6 + 3]))
-nonzero = rationals.filter(bool)
 
 
 @st.composite
@@ -64,29 +64,36 @@ def same_table(got: FnTable, want: FnTable) -> None:
 
 
 @st.composite
-def accumulations(draw):
-    """(acc, c, entries) where some points of c * entries cancel acc."""
-    f = draw(tables())
-    acc = dict(f.entries)
-    c = draw(rationals)
-    entries = {}
-    for p in f.domain.points():
-        if p in acc and c and draw(st.booleans()):
-            entries[p] = -acc[p] / c  # cancels exactly
-        elif draw(st.booleans()):
-            entries[p] = draw(nonzero)
-    return acc, c, entries
+def combinations(draw):
+    """(domain, terms) with up to five terms (c, entries) on one box: the
+    entries of a table or a plain dict (zero values included), possibly
+    empty, zero coefficients, and terms that cancel some of the points of
+    the terms before them."""
+    dom = draw(tables()).domain
+    terms, so_far = [], {}
+    for _ in range(draw(st.integers(0, 5))):
+        c = draw(rationals)
+        entries = {}
+        for p in dom.points():
+            if p in so_far and c and draw(st.booleans()):
+                entries[p] = -so_far[p] / c  # cancels exactly
+            elif draw(st.booleans()):
+                entries[p] = draw(rationals)
+        if draw(st.booleans()):
+            entries = FnTable(dom, entries).entries
+        terms.append((c, entries))
+        fraction_add_scaled(so_far, c, entries)
+    return dom, terms
 
 
-@given(accumulations())
+@given(combinations())
 @settings(max_examples=300, deadline=None)
-def test_add_scaled_matches_fraction_reference(case):
-    acc, c, entries = case
-    got, want = dict(acc), dict(acc)
-    add_scaled(got, c, entries)
-    fraction_add_scaled(want, c, entries)
-    assert got == want
-    assert all(type(v) is Fraction and v != 0 for v in got.values())
+def test_combine_matches_fraction_reference(case):
+    dom, terms = case
+    want = {}
+    for c, entries in terms:
+        fraction_add_scaled(want, c, entries)
+    same_table(combine(dom, terms), FnTable(dom, want, _trusted=True))
 
 
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(tables(n), tables(n))))
@@ -296,10 +303,12 @@ def test_select_heavy_set_matches_fraction_reference(v, theta):
 # ------------------------------------------------------- exact-input gates
 
 
-def test_add_scaled_rejects_float_coefficient():
+@pytest.mark.parametrize("c", [0.5, 1.0, True, False])
+def test_combine_rejects_inexact_coefficient(c):
     t = FnTable(Domain((1,)), {(0,): F(3, 2)})
-    acc = {}
+    for terms in ([(c, t.entries)], [(1, t.entries), (c, {})]):  # an empty term too
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            combine(t.domain, terms)
     with pytest.raises(PreconditionError, match="not an exact rational"):
-        add_scaled(acc, 0.5, t.entries)
-    assert acc == {}
+        t.scale(c)
 

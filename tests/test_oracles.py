@@ -55,6 +55,18 @@ def check_answer(f, ans: DegreeAnswer):
         assert orth(ans.dual, cap=ans.value - 1) is None
 
 
+def test_bool_table_checks_every_point():
+    dom = Domain((1, 1))
+    f = bool_table(dom, [[1, 0], (1, 1), (1, 0)])  # lists become points, repeats collapse
+    assert f == FnTable(dom, {(1, 0): F(1), (1, 1): F(1)})
+    assert all(type(v) is Fraction for v in f.entries.values())
+    for outside in ((2, 0), (1,), (0, 1, 0), (-1, 0)):
+        with pytest.raises(PreconditionError, match="outside domain"):
+            bool_table(dom, [(0, 0), outside])
+    with pytest.raises(PreconditionError, match="outside domain"):
+        bool_table(Domain((1, 1), window=(0, 1)), [(1, 1)])
+
+
 def test_and_or_degree_one():
     for n in (1, 2, 3):
         a = threshold_degree(and_table(n))
