@@ -3,8 +3,8 @@
 Subcommands: witness (build dual objects), oracle (exact degree and
 discrepancy queries), bounds (pattern matrices, Forster, sign-rank),
 amplify (one circuit amplification step), circuits (constructors and
-exports), verify (parse and validate a stored table or circuit; a stored
-certificate is not re-checked yet, so it fails), repro (the acceptance
+exports), verify (parse and validate a stored table, mixture or circuit;
+a stored certificate is not re-checked yet, so it fails), repro (the acceptance
 suite).  Exit code 0 means every requested certificate passed.
 
 Rationals on the command line are "p/q" strings; floats are not accepted
@@ -54,11 +54,26 @@ from .serialize import (
     dumps,
     frac_str,
     matrix_from_csv,
+    mixture_from_json,
     parse_frac,
     table_from_json,
 )
 
 F = Fraction
+
+
+def _read(path: str | None, option: str, parse=json.loads):
+    """parse(text) of the file at `path`, named on the command line by
+    `option`.  A missing option, a file that cannot be read and text that
+    parse rejects each raise PreconditionError."""
+    if path is None:
+        raise PreconditionError(f"{option} is required")
+    try:
+        return parse(Path(path).read_text())
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {option} {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise PreconditionError(f"cannot parse {option} {path}: {exc}") from None
 
 
 def _named_table(args) -> FnTable:
@@ -74,8 +89,7 @@ def _named_table(args) -> FnTable:
     if name == "surj":
         return surj_table(args.n, args.r)
     if name == "table":
-        data = json.loads(Path(args.table).read_text())
-        return table_from_json(data)
+        return table_from_json(_read(args.table, "--table"))
     raise ArtifactError(f"unknown function {name!r}")
 
 
@@ -130,8 +144,7 @@ def cmd_oracle(args) -> int:
         print(ans.value)
         return 0
     if args.operation == "disc2":
-        matrix = matrix_from_csv(Path(args.csv).read_text())
-        ans = discrepancy_2party(matrix)
+        ans = discrepancy_2party(_read(args.csv, "--csv", matrix_from_csv))
         print(frac_str(ans.value))
         return 0
     if args.operation == "density":
@@ -193,7 +206,7 @@ def cmd_witness(args) -> int:
 def cmd_bounds(args) -> int:
     if args.operation == "pattern":
         if args.phi:
-            phi = table_from_json(json.loads(Path(args.phi).read_text()))
+            phi = table_from_json(_read(args.phi, "--phi"))
         else:
             dom = hypercube(args.n)
             phi = FnTable(dom, {p: F(1) for p in dom.points()})
@@ -201,7 +214,7 @@ def cmd_bounds(args) -> int:
         print(f"norm^2 = {frac_str(res.norm_sq)}")
         return 0
     if args.operation == "forster":
-        matrix = matrix_from_csv(Path(args.csv).read_text())
+        matrix = _read(args.csv, "--csv", matrix_from_csv)
         b = forster_bound(matrix)
         print(f"sign-rank >= {float(b.lower):.9f}")
         rank1 = signrank_le_1(matrix)
@@ -258,10 +271,7 @@ def cmd_circuits(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        data = json.loads(Path(args.artifact).read_text())
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise PreconditionError(f"artifact is not JSON: {exc}") from None
+    data = _read(args.artifact, "artifact")
     if not isinstance(data, dict):
         raise PreconditionError("artifact is not a JSON object")
     schema = str(data.get("schema", ""))
@@ -274,6 +284,10 @@ def cmd_verify(args) -> int:
     if schema.startswith("circuit/"):
         circ = circuit_from_json(data)
         print(f"PASS circuit: size {circ.size()}, depth {circ.depth()}")
+        return 0
+    if schema.startswith("mixture/"):
+        mix = mixture_from_json(data)
+        print(f"PASS mixture: {len(mix.terms)} terms, {len(mix.factors)} factors")
         return 0
     if schema.startswith("certificate/"):
         # no certificate type is re-derived yet, so none may pass
@@ -357,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out")
     c.set_defaults(run=cmd_circuits)
 
-    v = sub.add_parser("verify", help="parse and validate a stored table or circuit")
+    v = sub.add_parser("verify", help="parse and validate a stored table, mixture or circuit")
     v.add_argument("artifact")
     v.set_defaults(run=cmd_verify)
 

@@ -219,6 +219,23 @@ def table_from_json(data: dict) -> FnTable:
     return FnTable(dom, entries)
 
 
+def mixture_from_json(data: dict) -> ProductMixture:
+    """A ProductMixture from its mixture schema dict.  A missing field, a
+    factor that is not an fntable, a term that is not a [coefficient,
+    labels] pair, a label that is not a string or an inexact coefficient
+    raises PreconditionError."""
+    factors = _field(data, "factors")
+    if not isinstance(factors, dict):
+        raise PreconditionError(f"factors is not an object: {factors!r}")
+    terms = []
+    for term in _list(_field(data, "terms")):
+        c, labels = _list(term, 2)
+        if not all(isinstance(lab, str) for lab in _list(labels)):
+            raise PreconditionError(f"a label is not a string: {labels!r}")
+        terms.append((parse_frac(c), tuple(labels)))
+    return ProductMixture({lab: table_from_json(t) for lab, t in factors.items()}, terms)
+
+
 def circuit_from_json(data: dict) -> CircuitDesc:
     """A CircuitDesc from its circuit schema dict.  A missing field, a gate
     that is not an [op, children] pair and a reference out of range each
@@ -239,9 +256,12 @@ def matrix_from_csv(text: str) -> list[list[int]]:
         cells = line.replace(",", " ").split()
         if not cells:
             continue
-        row = [int(c) for c in cells]
-        if any(v not in (1, -1) for v in row):
-            raise PreconditionError("CSV entries must be +1 or -1")
+        try:
+            row = [int(c) for c in cells]
+            if any(v not in (1, -1) for v in row):
+                raise ValueError
+        except ValueError:
+            raise PreconditionError(f"CSV entries must be +1 or -1: {line!r}") from None
         rows.append(row)
     if not rows:
         raise PreconditionError("empty matrix")

@@ -16,6 +16,7 @@ from ptfwitness.serialize import (
     circuit_from_json,
     dumps,
     matrix_from_csv,
+    mixture_from_json,
     parse_frac,
     table_from_json,
 )
@@ -37,19 +38,11 @@ def test_rationals_never_floats():
         dumps(0.5)
 
 
-def mixture_from_json(data):
-    """Test-side reference: the inverse of the mixture/1 schema that
-    serialize.dumps writes."""
-    factors = {lab: table_from_json(t) for lab, t in data["factors"].items()}
-    terms = [(parse_frac(c), tuple(labels)) for c, labels in data["terms"]]
-    return ProductMixture(factors, terms)
-
-
 def test_mixture_roundtrip():
     lam = FnTable(box([2]), {(0,): F(1, 2), (1,): F(1, 2)})
     mix = ProductMixture({"a": lam}, [(F(1, 2), ("a", "a")), (F(1, 2), ("a", "a"))])
     back = mixture_from_json(json.loads(dumps(mix)))
-    assert back.densify() == mix.densify()
+    assert back == mix and back.densify() == mix.densify()
 
 
 def test_circuit_roundtrip():
@@ -125,6 +118,25 @@ def test_cli_verify_fails_unchecked_certificate(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "FAIL unknown artifact schema '5'"
 
 
+def test_cli_verify_mixture(tmp_path, capsys):
+    out = tmp_path / "mp"
+    assert main(["witness", "build", "mp", "--m", "2", "--r", "3", "--out", str(out)]) == 0
+    mix = mixture_from_json(json.loads((out / "Lambda0.json").read_text()))
+    capsys.readouterr()
+    assert main(["verify", str(out / "Lambda0.json")]) == 0
+    assert capsys.readouterr().out.strip() == \
+        f"PASS mixture: {len(mix.terms)} terms, {len(mix.factors)} factors"
+
+
+def _mixture_artifact(tmp_path, edit):
+    lam = FnTable(box([1]), {(0,): F(1, 3), (1,): F(2, 3)})
+    data = json.loads(dumps(ProductMixture({"a": lam, "b": lam}, [(F(1), ("a", "b"))])))
+    edit(data)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def _table_artifact(tmp_path, edit):
     data = json.loads(dumps(FnTable(box([2]), {(0,): F(1, 2), (2,): F(-1, 2)})))
     edit(data)
@@ -190,10 +202,22 @@ def _raw_artifact(tmp_path, text):
     lambda tmp: _circuit_artifact(tmp, lambda d: d.update(output=["lit", 0, "yes"])),
     lambda tmp: _raw_artifact(tmp, "[]"),
     lambda tmp: _raw_artifact(tmp, "not json {"),
+    lambda tmp: _mixture_artifact(tmp, lambda d: d.pop("terms")),
+    lambda tmp: _mixture_artifact(tmp, lambda d: d.update(factors=[])),
+    lambda tmp: _mixture_artifact(tmp, lambda d: d["factors"]["a"].pop("entries")),
+    lambda tmp: _mixture_artifact(tmp, lambda d: d.update(terms=[])),
+    lambda tmp: _mixture_artifact(tmp, lambda d: d["terms"][0].pop()),
+    lambda tmp: _mixture_artifact(tmp, lambda d: d["terms"][0].__setitem__(0, 0.5)),
+    lambda tmp: _mixture_artifact(tmp, lambda d: d["terms"][0].__setitem__(1, "ab")),
+    lambda tmp: _mixture_artifact(tmp, lambda d: d["terms"][0][1].__setitem__(0, ["a"])),
+    lambda tmp: _mixture_artifact(tmp, lambda d: d["terms"][0][1].__setitem__(0, "c")),
+    lambda tmp: _mixture_artifact(tmp, lambda d: d["terms"].append(["1/2", ["a"]])),
 ], ids=["entry-without-value", "entry-with-third-element", "one-element-window",
         "missing-domain", "gate-without-children", "two-item-literal", "empty-output",
         "gate-without-index", "string-variable", "string-negation", "top-level-list",
-        "not-json"])
+        "not-json", "mixture-without-terms", "factors-not-object", "factor-not-table",
+        "no-terms", "term-without-labels", "number-coefficient", "labels-not-list",
+        "list-label", "unknown-label", "ragged-terms"])
 def test_cli_verify_rejects_malformed_artifacts(tmp_path, capsys, artifact):
     code = main(["verify", artifact(tmp_path)])
     captured = capsys.readouterr()
@@ -226,6 +250,41 @@ def test_cli_disc2(tmp_path, capsys):
     code = main(["oracle", "disc2", "--csv", str(csv)])
     assert code == 0
     assert capsys.readouterr().out.strip() == "1/4"
+
+
+def _file(name, text):
+    def write(tmp):
+        path = tmp / name
+        path.write_text(text)
+        return str(path)
+    return write
+
+
+def _missing(tmp):
+    return str(tmp / "missing.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "degthr", "--fn", "table"],
+    ["oracle", "disc2"],
+    ["bounds", "forster"],
+    ["oracle", "degthr", "--fn", "table", "--table", _missing],
+    ["oracle", "disc2", "--csv", _missing],
+    ["bounds", "pattern", "--N", "4", "--n", "2", "--phi", _missing],
+    ["verify", _missing],
+    ["oracle", "degthr", "--fn", "table", "--table", _file("t.json", "not json {")],
+    ["bounds", "pattern", "--N", "4", "--n", "2", "--phi", _file("phi.json", "{")],
+    ["oracle", "disc2", "--csv", _file("x.csv", "1,-1\n-1,x\n")],
+    ["oracle", "disc2", "--csv", _file("float.csv", "1,-1\n-1,1.0\n")],
+    ["bounds", "forster", "--csv", _file("x.csv", "x\n")],
+], ids=["table-without-path", "disc2-without-csv", "forster-without-csv", "missing-table",
+        "missing-csv", "missing-phi", "missing-artifact", "table-not-json", "phi-not-json",
+        "csv-cell-x", "csv-cell-float", "forster-csv-cell-x"])
+def test_cli_rejects_bad_input_files(tmp_path, capsys, argv):
+    code = main([a(tmp_path) if callable(a) else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("FAIL ")
 
 
 def test_cli_bounds_pattern_and_forster(tmp_path, capsys):
